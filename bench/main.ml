@@ -21,31 +21,40 @@
 
 module Scenario = Deltanet.Scenario
 module Additive = Deltanet.Additive
+module Diag = Deltanet.Diag
 module Classes = Scheduler.Classes
 
 let epsilon = 1e-9
 let s_points = 16
 
-let bound sc sched = Scenario.delay_bound ~s_points ~scheduler:sched sc
+(* Figure bounds come from the checked optimizers, so every cell carries
+   its Diag status to the figure's convergence gate. *)
+let bound sc sched = Scenario.delay_bound_checked ~s_points ~scheduler:sched sc
 
 let edf_bound sc ratio =
-  (Scenario.delay_bound_edf ~s_points sc ~spec:{ Scenario.cross_over_through = ratio })
-    .Scenario.bound
+  let o =
+    Scenario.delay_bound_edf_checked ~s_points sc
+      ~spec:{ Scenario.cross_over_through = ratio }
+  in
+  { o with Diag.value = o.Diag.value.Scenario.bound }
 
 let pr_cell v = if Float.is_finite v then Fmt.str "%10.2f" v else Fmt.str "%10s" "inf"
 
-(* CSV artifacts alongside the printed tables, under results/.  Rows go
-   through Telemetry.Csv.row, which renders non-finite values (unstable
-   utilizations yield [inf] bounds) as empty cells instead of "inf"/"nan"
-   literals that break downstream CSV consumers. *)
+let status_cell (o : float Diag.outcome) = Diag.status_to_string o.Diag.diag.Diag.status
+
+(* CSV artifacts alongside the printed tables, under results/.  Numeric
+   columns go through Telemetry.Csv.cell, which renders non-finite values
+   (unstable utilizations yield [inf] bounds) as empty cells instead of
+   "inf"/"nan" literals that break downstream CSV consumers.  Each row's
+   status strings (the EDF columns' Diag status) follow its numbers. *)
 let csv_out name header rows =
   let dir = "results" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let oc = open_out (Filename.concat dir (name ^ ".csv")) in
   output_string oc (header ^ "\n");
   List.iter
-    (fun row ->
-      output_string oc (Telemetry.Csv.row row);
+    (fun (nums, statuses) ->
+      output_string oc (String.concat "," (List.map Telemetry.Csv.cell nums @ statuses));
       output_string oc "\n")
     rows;
   close_out oc
@@ -89,6 +98,36 @@ let report_cell_pair fig reps cell =
   Fmt.pr "@.   representative cell: %.1f ms batched, %.1f ms unbatched (%.2fx)@."
     (t_b /. 1e6) (t_u /. 1e6) (t_u /. t_b)
 
+let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
+
+(* Most bound evaluations the EDF fixed point may spend per figure cell
+   on average (the bracketed solver needs ~3.1 over Figs. 2-4). *)
+let edf_iterations_per_cell_limit = 8.
+
+(* A figure's convergence gate and EDF ledger lines.  [checks] holds
+   every checked cell as (label, EDF column?, outcome); [edf_iterations]
+   is the scenario.edf.iterations counter delta over the figure.  Exits 1
+   on any non-converged cell or on more than
+   [edf_iterations_per_cell_limit] evaluations per EDF cell.  Runs after
+   the CSV is written, so a refused figure still shows which cells failed
+   in its status columns. *)
+let check_figure fig ~edf_iterations checks =
+  let failed (_, _, o) = not (Diag.ok o.Diag.diag) in
+  let edf = List.filter (fun (_, is_edf, _) -> is_edf) checks in
+  let per_cell = float_of_int edf_iterations /. float_of_int (List.length edf) in
+  let edf_failed = List.length (List.filter failed edf) in
+  report_ns (fig ^ ".edf_iterations_per_cell") per_cell;
+  report_ns (fig ^ ".edf_nonconverged") (float_of_int edf_failed);
+  Fmt.pr "@.   EDF fixed point: %.2f bound evaluations per cell, %d of %d cells not converged@."
+    per_cell edf_failed (List.length edf);
+  let bad = List.filter failed checks in
+  List.iter (fun (label, _, o) -> Fmt.epr "FATAL: %s %s: %s@." fig label (status_cell o)) bad;
+  let slow = per_cell > edf_iterations_per_cell_limit in
+  if slow then
+    Fmt.epr "FATAL: %s EDF fixed point took %.2f bound evaluations per cell (> %.0f)@." fig
+      per_cell edf_iterations_per_cell_limit;
+  if bad <> [] || slow then (exit [@lint.allow "raw-exit"]) 1
+
 (* ---------------------------------------------------------------- *)
 (* Fig. 2 / Example 1: delay bound vs total utilization U.
    U0 = 15% fixed (N0 = 100), U in [20%, 95%], H in {2, 5, 10};
@@ -99,7 +138,8 @@ let fig2 ~short () =
   Fmt.pr "   (U0 = 15%%, eps = 1e-9; columns: BMUX, FIFO, EDF(d*c = 10 d*0))@.";
   let hs = if short then [ 2 ] else [ 2; 5; 10 ] in
   let us = if short then [ 20; 50; 80; 95 ] else [ 20; 30; 40; 50; 60; 70; 80; 90; 95 ] in
-  let rows = ref [] in
+  let rows = ref [] and checks = ref [] in
+  let iters0 = Telemetry.Counter.value c_edf_iters in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun h ->
@@ -112,17 +152,27 @@ let fig2 ~short () =
           let b = bound sc Classes.Bmux in
           let f = bound sc Classes.Fifo in
           let e = edf_bound sc 10. in
-          rows := [ float_of_int h; float_of_int u_pct; b; f; e ] :: !rows;
-          Fmt.pr "  %5d %s %s %s@." u_pct (pr_cell b) (pr_cell f) (pr_cell e))
+          let label col = Fmt.str "H=%d U=%d%% %s" h u_pct col in
+          checks :=
+            (label "EDF", true, e) :: (label "FIFO", false, f) :: (label "BMUX", false, b)
+            :: !checks;
+          rows :=
+            ( [ float_of_int h; float_of_int u_pct; b.Diag.value; f.Diag.value; e.Diag.value ],
+              [ status_cell e ] )
+            :: !rows;
+          Fmt.pr "  %5d %s %s %s@." u_pct (pr_cell b.Diag.value) (pr_cell f.Diag.value)
+            (pr_cell e.Diag.value))
         us)
     hs;
+  let edf_iterations = Telemetry.Counter.value c_edf_iters - iters0 in
   let cells = List.length hs * List.length us in
   report_ns "fig2.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
   let rep_h = if short then 2 else 10 in
   let sc_rep = Scenario.of_utilization ~h:rep_h ~u_through:0.15 ~u_cross:0.35 in
   report_cell_pair "fig2" (if short then 2 else 6) (fun () -> bound sc_rep Classes.Fifo);
-  csv_out "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms" (List.rev !rows)
+  csv_out "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms,edf_status" (List.rev !rows);
+  check_figure "fig2" ~edf_iterations (List.rev !checks)
 
 (* ---------------------------------------------------------------- *)
 (* Fig. 3 / Example 2: delay bound vs traffic mix Uc/U at fixed U = 50%.
@@ -134,7 +184,8 @@ let fig3 ~short () =
   Fmt.pr "   (U = 50%%, eps = 1e-9; EDF- has d*0 = d*c/2, EDF+ has d*0 = 2 d*c)@.";
   let hs = if short then [ 2 ] else [ 2; 5; 10 ] in
   let mixes = if short then [ 10; 50; 90 ] else [ 10; 20; 30; 40; 50; 60; 70; 80; 90 ] in
-  let rows = ref [] in
+  let rows = ref [] and checks = ref [] in
+  let iters0 = Telemetry.Counter.value c_edf_iters in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun h ->
@@ -149,15 +200,33 @@ let fig3 ~short () =
           let f = bound sc Classes.Fifo in
           let e_loose = edf_bound sc 2. in
           let e_tight = edf_bound sc 0.5 in
-          rows := [ float_of_int h; float_of_int mix_pct; b; f; e_loose; e_tight ] :: !rows;
-          Fmt.pr "  %5d %s %s %s %s@." mix_pct (pr_cell b) (pr_cell f) (pr_cell e_loose)
-            (pr_cell e_tight))
+          let label col = Fmt.str "H=%d mix=%d%% %s" h mix_pct col in
+          checks :=
+            (label "EDF+", true, e_tight) :: (label "EDF-", true, e_loose)
+            :: (label "FIFO", false, f) :: (label "BMUX", false, b) :: !checks;
+          rows :=
+            ( [
+                float_of_int h;
+                float_of_int mix_pct;
+                b.Diag.value;
+                f.Diag.value;
+                e_loose.Diag.value;
+                e_tight.Diag.value;
+              ],
+              [ status_cell e_loose; status_cell e_tight ] )
+            :: !rows;
+          Fmt.pr "  %5d %s %s %s %s@." mix_pct (pr_cell b.Diag.value) (pr_cell f.Diag.value)
+            (pr_cell e_loose.Diag.value) (pr_cell e_tight.Diag.value))
         mixes)
     hs;
+  let edf_iterations = Telemetry.Counter.value c_edf_iters - iters0 in
   let cells = List.length hs * List.length mixes in
   report_ns "fig3.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out "fig3" "h,mix_percent,bmux_ms,fifo_ms,edf_loose_ms,edf_tight_ms" (List.rev !rows)
+  csv_out "fig3"
+    "h,mix_percent,bmux_ms,fifo_ms,edf_loose_ms,edf_tight_ms,edf_loose_status,edf_tight_status"
+    (List.rev !rows);
+  check_figure "fig3" ~edf_iterations (List.rev !checks)
 
 (* ---------------------------------------------------------------- *)
 (* Fig. 4 / Example 3: delay bound vs path length H at U = 10/50/90%,
@@ -170,7 +239,8 @@ let fig4 ~short () =
   let hs =
     if short then [ 1; 2; 3; 5 ] else [ 1; 2; 3; 4; 5; 6; 8; 10; 12; 15; 20; 25; 30 ]
   in
-  let rows = ref [] in
+  let rows = ref [] and checks = ref [] in
+  let iters0 = Telemetry.Counter.value c_edf_iters in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun u_pct ->
@@ -184,17 +254,27 @@ let fig4 ~short () =
           let f = bound sc Classes.Fifo in
           let e = edf_bound sc 10. in
           let a = Additive.delay_bound_scenario ~s_points sc in
-          rows := [ float_of_int u_pct; float_of_int h; b; f; e; a ] :: !rows;
-          Fmt.pr "  %4d %s %s %s %s@." h (pr_cell b) (pr_cell f) (pr_cell e) (pr_cell a))
+          let label col = Fmt.str "U=%d%% H=%d %s" u_pct h col in
+          checks :=
+            (label "EDF", true, e) :: (label "FIFO", false, f) :: (label "BMUX", false, b)
+            :: !checks;
+          rows :=
+            ( [ float_of_int u_pct; float_of_int h; b.Diag.value; f.Diag.value; e.Diag.value; a ],
+              [ status_cell e ] )
+            :: !rows;
+          Fmt.pr "  %4d %s %s %s %s@." h (pr_cell b.Diag.value) (pr_cell f.Diag.value)
+            (pr_cell e.Diag.value) (pr_cell a))
         hs)
     us;
+  let edf_iterations = Telemetry.Counter.value c_edf_iters - iters0 in
   let cells = List.length us * List.length hs in
   report_ns "fig4.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
   let rep_h = if short then 5 else 15 in
   let sc_rep = Scenario.of_utilization ~h:rep_h ~u_through:0.25 ~u_cross:0.25 in
   report_cell_pair "fig4" (if short then 2 else 6) (fun () -> bound sc_rep Classes.Fifo);
-  csv_out "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms" (List.rev !rows)
+  csv_out "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms,edf_status" (List.rev !rows);
+  check_figure "fig4" ~edf_iterations (List.rev !checks)
 
 (* ---------------------------------------------------------------- *)
 (* Extension experiment (not in the paper): several cross classes with
@@ -233,7 +313,8 @@ let extension ~short () =
       rows := [ float_of_int h; tiered; fifo; bmux ] :: !rows;
       Fmt.pr "  %4d %s %s %s@." h (pr_cell tiered) (pr_cell fifo) (pr_cell bmux))
     (if short then [ 2; 5 ] else [ 2; 5; 10; 20 ]);
-  csv_out "extension_multiclass" "h,tiered_ms,fifo_ms,bmux_ms" (List.rev !rows);
+  csv_out "extension_multiclass" "h,tiered_ms,fifo_ms,bmux_ms"
+    (List.rev_map (fun r -> (r, [])) !rows);
   Fmt.pr "@.   The tiered bound exceeds both uniform cases: the urgent tier@.";
   Fmt.pr "   preempts the through traffic, and every extra class pays its own@.";
   Fmt.pr "   sample-path slack and union bound — the price of per-class@.";
@@ -308,7 +389,7 @@ let sweep_kernel ~short () =
          let mix = float_of_int mix_pct /. 100. in
          let u_cross = 0.5 *. mix in
          let sc = Scenario.of_utilization ~h ~u_through:(0.5 -. u_cross) ~u_cross in
-         [ bound sc Classes.Bmux; bound sc Classes.Fifo ])
+         [ (bound sc Classes.Bmux).Diag.value; (bound sc Classes.Fifo).Diag.value ])
        points)
 
 (* timed repetitions of the sweep kernel: one pass is ~0.15 s, too short

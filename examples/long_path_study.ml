@@ -28,9 +28,14 @@ let () =
       let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
       let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
       let edf =
-        (Scenario.delay_bound_edf ~s_points:16 sc
-           ~spec:{ Scenario.cross_over_through = 10. })
-          .Scenario.bound
+        let o =
+          Scenario.delay_bound_edf_checked ~s_points:16 sc
+            ~spec:{ Scenario.cross_over_through = 10. }
+        in
+        if not (Deltanet.Diag.ok o.Deltanet.Diag.diag) then
+          Fmt.failwith "H=%d: EDF fixed point did not converge: %a" h Deltanet.Diag.pp
+            o.Deltanet.Diag.diag;
+        o.Deltanet.Diag.value.Scenario.bound
       in
       Fmt.pr "  %4d %10.2f %10.2f %10.2f %11.1f%% %11.1f%%@." h bmux fifo edf
         (100. *. fifo /. bmux) (100. *. edf /. bmux))

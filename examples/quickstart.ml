@@ -11,14 +11,18 @@ let () =
   let fifo = bound Scheduler.Classes.Fifo in
   let bmux = bound Scheduler.Classes.Bmux in
   let sp = bound Scheduler.Classes.Sp_through_high in
-  let edf =
-    Deltanet.Scenario.delay_bound_edf scenario
+  let edf_outcome =
+    Deltanet.Scenario.delay_bound_edf_checked scenario
       ~spec:{ Deltanet.Scenario.cross_over_through = 10. }
   in
+  if not (Deltanet.Diag.ok edf_outcome.Deltanet.Diag.diag) then
+    Fmt.failwith "EDF fixed point did not converge: %a" Deltanet.Diag.pp
+      edf_outcome.Deltanet.Diag.diag;
+  let edf = edf_outcome.Deltanet.Diag.value in
   Fmt.pr "End-to-end delay bounds (H=5, U=50%%, eps=1e-9)@.";
   Fmt.pr "  blind multiplexing (BMUX): %7.2f ms@." bmux;
   Fmt.pr "  FIFO:                      %7.2f ms@." fifo;
-  Fmt.pr "  EDF (d*_c = 10 d*_0):      %7.2f ms  (d*_0 = %.2f ms, %d iterations)@."
+  Fmt.pr "  EDF (d*_c = 10 d*_0):      %7.2f ms  (d*_0 = %.2f ms, %d bound evaluations)@."
     edf.Deltanet.Scenario.bound edf.Deltanet.Scenario.d_through
     edf.Deltanet.Scenario.iterations;
   Fmt.pr "  SP (through high prio):    %7.2f ms@." sp;

@@ -61,12 +61,14 @@ let max_cross_utilization ?(s_points = 16) ?(resolution = 1e-4) r ~scheduler =
 
 let max_cross_utilization_edf ?(s_points = 16) ?(resolution = 1e-4) r ~cross_over_through =
   Contracts.ensure (Contracts.check_scenario r.base);
+  (* a probe whose fixed point did not converge has no valid bound, so it
+     does not fit: the sound direction for an admission answer *)
   let fits u_cross =
-    let res =
-      Scenario.delay_bound_edf ~s_points (scenario_with r ~u_cross)
+    let o =
+      Scenario.delay_bound_edf_checked ~s_points (scenario_with r ~u_cross)
         ~spec:{ Scenario.cross_over_through }
     in
-    res.Scenario.bound <= r.guarantee.deadline
+    Diag.ok o.Diag.diag && o.Diag.value.Scenario.bound <= r.guarantee.deadline
   in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in

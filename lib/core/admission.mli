@@ -55,7 +55,8 @@ val max_cross_utilization_edf :
   float
 (** Same for EDF with the paper's self-referential deadlines
     ([d*_0 = bound /. H], [d*_c = ratio *. d*_0], re-solved at every probe
-    point). *)
+    point by {!Scenario.delay_bound_edf_checked}).  A probe whose fixed
+    point is not [Converged] counts as not fitting. *)
 
 val max_through_flows :
   ?s_points:int -> request -> scheduler:Scheduler.Classes.two_class -> float

@@ -11,7 +11,8 @@
       stable [s], or [gamma_max <= 0.]) — the bound is genuinely
       [infinity], the analytical counterpart of an overloaded path.
     - {!Diverged}: an iteration hit its cap without meeting tolerance; the
-      value is the last iterate and must not be trusted as a bound.
+      value is its last (or best) iterate and must not be trusted as a
+      bound.
     - {!Non_finite}: a NaN leaked out of the numerics — a bug or an
       ill-conditioned input, never a valid answer.
     - {!Invalid}: the model violates a domain contract (see
@@ -21,8 +22,11 @@ type status = Converged | Unstable | Diverged | Non_finite | Invalid
 
 type t = {
   status : status;
-  iterations : int;  (** objective evaluations or fixed-point iterations *)
-  tolerance : float;  (** final relative change (0. when not iterative) *)
+  iterations : int;  (** objective evaluations (for the EDF fixed point:
+                          evaluations of its bound map) *)
+  tolerance : float;
+      (** final relative change (0. when not iterative); for the EDF fixed
+          point, the final residual [|F(d) -. d| /. d] *)
 }
 
 type 'a outcome = { value : 'a; diag : t }

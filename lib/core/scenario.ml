@@ -167,7 +167,11 @@ type edf_result = {
   iterations : int;
 }
 
-let edf_tolerance = 1e-6
+let edf_tolerance = 1e-9
+
+(* One evaluation of g(d) = F(d) - d inside the EDF root finder: either a
+   residual to keep searching with, or the solver's final status. *)
+type edf_step = Residual of float | Done of Diag.status
 
 let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
   if spec.cross_over_through <= 0. || Float.is_nan spec.cross_over_through then
@@ -192,27 +196,57 @@ let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
     Diag.outcome Diag.Unstable
       { bound = Float.infinity; d_through = Float.infinity; d_cross = Float.infinity; iterations = 0 }
   else begin
-    let gap_of d =
-      let d0 = d /. hf in
-      d0 *. (1. -. spec.cross_over_through)
-    in
-    (* (value, iterations, status, final relative change) *)
-    let rec iterate d n =
-      if n >= max_iter then (d, n, Diag.Diverged, Float.infinity)
-      else
-        let d' = bound_for (gap_of d) in
+    (* F(d) is the bound at the deadlines d implies (d*_0 = d / H).  It is
+       decreasing for ratio > 1 (slope near -4 at H = 10) and increasing
+       for ratio < 1, so plain iteration d <- F d can oscillate forever;
+       solve g(d) = F(d) - d for its root instead.  [best] holds F at the
+       evaluated point of smallest relative residual |g(d)| / d. *)
+    let evals = ref 0 and best = ref (seed, Float.infinity) in
+    let g d =
+      if !evals >= max_iter then Done Diag.Diverged
+      else begin
+        let f = bound_for (d /. hf *. (1. -. spec.cross_over_through)) in
+        incr evals;
         if !Telemetry.on then Telemetry.Counter.incr c_edf_iters;
         Telemetry.event "scenario.edf.iter"
-          ~attrs:[ ("n", Telemetry.Int (n + 1)); ("bound", Telemetry.Float d') ];
-        if Float.is_nan d' then (d', n + 1, Diag.Non_finite, Float.infinity)
-        else if not (Float.is_finite d') then (d', n + 1, Diag.Unstable, Float.infinity)
-        else if Float.abs (d' -. d) <= edf_tolerance *. d' then
-          let rel = if d' > 0. then Float.abs (d' -. d) /. d' else 0. in
-          (d', n + 1, Diag.Converged, rel)
-        else iterate d' (n + 1)
+          ~attrs:[ ("n", Telemetry.Int !evals); ("bound", Telemetry.Float f) ];
+        if Float.is_nan f then (best := (f, Float.infinity); Done Diag.Non_finite)
+        else if not (Float.is_finite f) then (best := (f, Float.infinity); Done Diag.Unstable)
+        else begin
+          let res = Float.abs (f -. d) in
+          if res <= edf_tolerance *. f then (best := (f, res /. d); Done Diag.Converged)
+          else begin
+            if res /. d < snd !best then best := (f, res /. d);
+            Residual (f -. d)
+          end
+        end
+      end
     in
-    let (bound, iterations, status, tolerance) = iterate seed 0 in
-    Diag.outcome ~iterations ~tolerance status (result bound iterations)
+    let straddle ga gb = (ga < 0.) <> (gb < 0.) in
+    (* Secant steps until g changes sign ([d0, F d0] need not bracket the
+       root when F is increasing); a step that leaves (0, inf) falls back
+       to d <- F d. *)
+    let rec secant d0 g0 d1 =
+      match g d1 with
+      | Done s -> s
+      | Residual g1 when straddle g0 g1 -> illinois d0 g0 d1 g1
+      | Residual g1 ->
+        let d2 = d1 -. (g1 *. (d1 -. d0) /. (g1 -. g0)) in
+        secant d1 g1 (if Float.is_finite d2 && d2 > 0. then d2 else d1 +. g1)
+    (* Illinois regula falsi on the bracket [a, b], [b] the newest point:
+       halving the retained end's residual stops it going stale. *)
+    and illinois a ga b gb =
+      let c = ((a *. gb) -. (b *. ga)) /. (gb -. ga) in
+      match g c with
+      | Done s -> s
+      | Residual gc when straddle gb gc -> illinois b gb c gc
+      | Residual gc -> illinois a (ga /. 2.) c gc
+    in
+    let status =
+      match g seed with Done s -> s | Residual g0 -> secant seed g0 (seed +. g0)
+    in
+    let bound, tolerance = !best in
+    Diag.outcome ~iterations:!evals ~tolerance status (result bound !evals)
   end
 
 let delay_bound_edf ?s_points ?max_iter ~spec t =

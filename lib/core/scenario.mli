@@ -76,27 +76,37 @@ type edf_result = {
   bound : float;  (** the fixed-point end-to-end delay bound *)
   d_through : float;  (** resulting per-node deadline [d*_0 = bound /. H] *)
   d_cross : float;
-  iterations : int;
+  iterations : int;  (** evaluations of the bound map F (see below) *)
 }
 
 val delay_bound_edf_checked :
   ?s_points:int -> ?max_iter:int -> spec:edf_spec -> t -> edf_result Diag.outcome
 (** The paper ties EDF deadlines to the computed bound itself
-    ([d*_0 = d_e2e /. H], [d*_c = ratio *. d*_0]), so the bound solves a
-    fixed-point equation; iterate from the FIFO bound until the relative
-    change falls below 1e-6.  The diagnostic distinguishes:
+    ([d*_0 = d_e2e /. H], [d*_c = ratio *. d*_0]), so the bound solves
+    [F(d) = d], where [F(d)] is the [Edf_gap] bound at the deadlines [d]
+    implies.  [F] is decreasing for [ratio > 1] and increasing for
+    [ratio < 1], so the root of [g(d) = F(d) -. d] is found by a bracketed
+    solver: starting from the FIFO bound [d0] and [F d0], secant steps
+    until [g] changes sign, then Illinois regula falsi on the bracket.  It
+    stops at [|F(d) -. d| <= 1e-9 *. F(d)] and returns [F] at the
+    evaluated point of smallest residual, with the deadlines that value
+    implies.  [iterations] (in the result and the diagnostic) counts
+    evaluations of [F], and [max_iter] (default 60) caps them;
+    [diag.tolerance] is the returned point's residual [|F(d) -. d| /. d].
+    The diagnostic distinguishes:
 
-    - [Converged]: the fixed point settled within tolerance.
-    - [Unstable]: no finite FIFO seed, or the iteration fell into an
-      infeasible gap — the scenario admits no finite EDF bound.
-    - [Diverged]: [max_iter] iterations without meeting tolerance; the
-      returned value is the last iterate and is {e not} a valid bound.
+    - [Converged]: the residual met the 1e-9 tolerance.
+    - [Unstable]: no finite FIFO seed, or [F] fell into an infeasible gap
+      — the scenario admits no finite EDF bound.
+    - [Diverged]: [max_iter] evaluations without meeting tolerance; the
+      returned value is the best evaluated point and is {e not} a valid
+      bound.
     - [Non_finite]: a NaN leaked out of the inner optimization.
 
     @raise Invalid_argument on a non-positive deadline ratio. *)
 
 val delay_bound_edf : ?s_points:int -> ?max_iter:int -> spec:edf_spec -> t -> edf_result
 (** @deprecated Compatibility wrapper around {!delay_bound_edf_checked}
-    that drops the diagnostic — in particular it still returns the last
-    iterate after [max_iter] with no signal of non-convergence.  New code
-    should call {!delay_bound_edf_checked}. *)
+    that drops the diagnostic — in particular it still returns a value
+    after [max_iter] evaluations with no signal of non-convergence.  New
+    code should call {!delay_bound_edf_checked}. *)

@@ -284,29 +284,70 @@ let test_scenario_increasing_in_utilization () =
   let d30 = d 0.30 and d60 = d 0.60 and d90 = d 0.90 in
   Alcotest.(check bool) (Fmt.str "%g < %g < %g" d30 d60 d90) true (d30 < d60 && d60 < d90)
 
+(* The EDF bound at the deadlines a candidate bound [d] implies:
+   F(d), with d*_0 = d / H and d*_c = ratio * d*_0. *)
+let edf_map ~ratio sc d =
+  let d0 = d /. float_of_int sc.Scenario.h in
+  Scenario.delay_bound ~s_points:16 ~scheduler:(Classes.Edf_gap (d0 *. (1. -. ratio))) sc
+
+(* Run the checked solver, insist on Converged, and return the bound d
+   with F(d) recomputed independently at the returned deadlines. *)
+let edf_solved ~ratio sc =
+  let o =
+    Scenario.delay_bound_edf_checked ~s_points:16 sc
+      ~spec:{ Scenario.cross_over_through = ratio }
+  in
+  Alcotest.(check string) "status" "converged"
+    (Deltanet.Diag.status_to_string o.Deltanet.Diag.diag.Deltanet.Diag.status);
+  let r = o.Deltanet.Diag.value in
+  let gap = r.Scenario.d_through -. r.Scenario.d_cross in
+  (r.Scenario.bound, Scenario.delay_bound ~s_points:16 ~scheduler:(Classes.Edf_gap gap) sc)
+
 let test_scenario_edf_fixed_point () =
   let sc = Scenario.of_utilization ~h:5 ~u_through:0.15 ~u_cross:0.35 in
-  let r = Scenario.delay_bound_edf ~s_points:16 sc ~spec:{ Scenario.cross_over_through = 10. } in
+  let bound, again = edf_solved ~ratio:10. sc in
   let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
-  Alcotest.(check bool) (Fmt.str "EDF %g < FIFO %g" r.Scenario.bound fifo) true
-    (r.Scenario.bound < fifo);
+  Alcotest.(check bool) (Fmt.str "EDF %g < FIFO %g" bound fifo) true (bound < fifo);
   (* self-consistency of the fixed point: recomputing at the returned gap
      reproduces the bound *)
-  let gap = r.Scenario.d_through -. r.Scenario.d_cross in
-  let again = Scenario.delay_bound ~s_points:16 ~scheduler:(Classes.Edf_gap gap) sc in
-  check_float ~tol:1e-3 "fixed point" r.Scenario.bound again
+  check_float ~tol:1e-6 "fixed point" bound again
+
+(* Both monotone shapes of F, each at a cell plain iteration could not
+   settle or settled slowly: a genuine root of F(d) - d to 1e-8, and F
+   decreasing (ratio > 1) or increasing (ratio < 1) across it.  The
+   values themselves are pinned in test_golden. *)
+let test_scenario_edf_root () =
+  List.iter
+    (fun (name, ratio, sc, decreasing) ->
+      let d, f = edf_solved ~ratio sc in
+      Alcotest.(check bool)
+        (Fmt.str "%s: |F(d) - d| = %g <= 1e-8 d" name (Float.abs (f -. d)))
+        true
+        (Float.abs (f -. d) <= 1e-8 *. d);
+      let below = edf_map ~ratio sc (0.9 *. d) and above = edf_map ~ratio sc (1.1 *. d) in
+      Alcotest.(check bool)
+        (Fmt.str "%s: F(0.9 d) = %g vs F(1.1 d) = %g" name below above)
+        decreasing (below > above))
+    [
+      ("fig2 H=10 U=80% EDF", 10., Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.65,
+       true);
+      ("fig4 H=10 U=50% EDF", 10., Scenario.of_utilization ~h:10 ~u_through:0.25 ~u_cross:0.25,
+       true);
+      ("fig3 H=2 mix=90% EDF+", 0.5, Scenario.of_utilization ~h:2 ~u_through:0.05 ~u_cross:0.45,
+       false);
+    ]
 
 let test_scenario_edf_tight_deadlines_above_fifo () =
   (* d*_0 = 2 d*_c makes the cross traffic more urgent: bound above FIFO,
      below BMUX. *)
   let sc = Scenario.of_utilization ~h:2 ~u_through:0.15 ~u_cross:0.35 in
-  let r = Scenario.delay_bound_edf ~s_points:16 sc ~spec:{ Scenario.cross_over_through = 0.5 } in
+  let bound, _ = edf_solved ~ratio:0.5 sc in
   let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
   let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
   Alcotest.(check bool)
-    (Fmt.str "FIFO %g <= EDF-tight %g <= BMUX %g" fifo r.Scenario.bound bmux)
+    (Fmt.str "FIFO %g <= EDF-tight %g <= BMUX %g" fifo bound bmux)
     true
-    (fifo <= r.Scenario.bound +. 1e-6 && r.Scenario.bound <= bmux +. 1e-6)
+    (fifo <= bound +. 1e-6 && bound <= bmux +. 1e-6)
 
 let test_scenario_backlog () =
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.35 in
@@ -687,6 +728,7 @@ let suite =
     Alcotest.test_case "scenario ordering" `Slow test_scenario_fifo_between_sp_and_bmux;
     Alcotest.test_case "scenario monotone in U" `Slow test_scenario_increasing_in_utilization;
     Alcotest.test_case "scenario EDF fixed point" `Slow test_scenario_edf_fixed_point;
+    Alcotest.test_case "scenario EDF root of F(d) - d" `Slow test_scenario_edf_root;
     Alcotest.test_case "scenario EDF tight deadlines" `Slow test_scenario_edf_tight_deadlines_above_fifo;
     Alcotest.test_case "scenario backlog" `Slow test_scenario_backlog;
     Alcotest.test_case "additive dominates" `Slow test_additive_dominates_network_bound;

@@ -14,21 +14,31 @@ let check name expected got =
 let sc h u0 uc = S.of_utilization ~h ~u_through:u0 ~u_cross:uc
 let fixed sched s = S.delay_bound ~s_points:16 ~scheduler:sched s
 
+(* EDF goldens are converged fixed points only: a cell the solver could
+   not settle has no valid value to pin. *)
 let edf ratio s =
-  (S.delay_bound_edf ~s_points:16 s ~spec:{ S.cross_over_through = ratio }).S.bound
+  let o = S.delay_bound_edf_checked ~s_points:16 s ~spec:{ S.cross_over_through = ratio } in
+  if not (Deltanet.Diag.ok o.Deltanet.Diag.diag) then
+    Alcotest.failf "EDF ratio %g H=%d: %a" ratio s.S.h Deltanet.Diag.pp o.Deltanet.Diag.diag;
+  o.Deltanet.Diag.value.S.bound
 
 let test_fig2_points () =
   check "fig2 H=5 U=50% BMUX" 118.237568 (fixed C.Bmux (sc 5 0.15 0.35));
   check "fig2 H=5 U=50% FIFO" 117.021627 (fixed C.Fifo (sc 5 0.15 0.35));
   check "fig2 H=5 U=50% EDF" 37.74869179 (edf 10. (sc 5 0.15 0.35));
+  check "fig2 H=10 U=80% EDF" 245.6693310 (edf 10. (sc 10 0.15 0.65));
   check "fig2 H=2 U=90% BMUX" 652.8981997 (fixed C.Bmux (sc 2 0.15 0.75));
   check "fig2 H=2 U=90% FIFO" 219.1922743 (fixed C.Fifo (sc 2 0.15 0.75))
 
 let test_fig3_points () =
-  check "fig3 H=2 mix=50% EDF-" 22.18048843 (edf 2. (sc 2 0.25 0.25))
+  check "fig3 H=2 mix=50% EDF-" 22.18049228 (edf 2. (sc 2 0.25 0.25));
+  check "fig3 H=5 mix=90% EDF-" 103.3356386 (edf 2. (sc 5 0.05 0.45));
+  check "fig3 H=2 mix=90% EDF+" 59.65083376 (edf 0.5 (sc 2 0.05 0.45))
 
 let test_fig4_points () =
   check "fig4 H=10 U=50% BMUX" 149.7825083 (fixed C.Bmux (sc 10 0.25 0.25));
+  check "fig4 H=10 U=50% EDF" 78.92596267 (edf 10. (sc 10 0.25 0.25));
+  check "fig4 H=10 U=90% EDF" 519.1227516 (edf 10. (sc 10 0.45 0.45));
   check "fig4 H=10 U=50% additive" 1399.792984
     (Deltanet.Additive.delay_bound_scenario ~s_points:16 (sc 10 0.25 0.25));
   check "fig4 H=20 U=10% FIFO" 1.790928314 (fixed C.Fifo (sc 20 0.05 0.05))
@@ -40,10 +50,13 @@ let test_shape_invariants () =
   in
   Alcotest.(check bool) "FIFO/BMUX > 98% by H=5" true (fifo_over_bmux 5 > 0.98);
   Alcotest.(check bool) "FIFO/BMUX < 60% at H=1" true (fifo_over_bmux 1 < 0.6);
-  let edf_over_bmux =
-    edf 10. (sc 10 0.25 0.25) /. fixed C.Bmux (sc 10 0.25 0.25)
-  in
-  Alcotest.(check bool) "EDF keeps >30% advantage at H=10" true (edf_over_bmux < 0.7)
+  let edf_over_bmux h u0 uc = edf 10. (sc h u0 uc) /. fixed C.Bmux (sc h u0 uc) in
+  let r = edf_over_bmux 10 0.25 0.25 in
+  check "fig4 H=10 U=50% EDF/BMUX" 0.5269372 r;
+  Alcotest.(check bool) "EDF keeps >30% advantage at H=10" true (r < 0.7);
+  (* fig2's long-path claim: at H=10 U=80% converged EDF/BMUX is 0.205 *)
+  Alcotest.(check bool) "EDF under 25% of BMUX at fig2 H=10 U=80%" true
+    (edf_over_bmux 10 0.15 0.65 < 0.25)
 
 (* End-to-end determinism at the CLI boundary: the exact bytes a user
    sees — sweep CSVs and replication summaries — must not change with

@@ -258,10 +258,17 @@ let test_checked_edf_bound () =
   Alcotest.(check bool) "finite bound" true (Float.is_finite o.Diag.value.Scenario.bound);
   Alcotest.(check bool) "iterations reported" true
     (o.Diag.value.Scenario.iterations >= 1);
-  (* starve the fixed point of iterations: Diverged, last iterate returned *)
+  Alcotest.(check int) "iterations = F evaluations in both places"
+    o.Diag.diag.Diag.iterations o.Diag.value.Scenario.iterations;
+  Alcotest.(check bool)
+    (Fmt.str "final residual %g <= 1e-9" o.Diag.diag.Diag.tolerance)
+    true
+    (o.Diag.diag.Diag.tolerance <= 1e-9 *. (1. +. 1e-9));
+  (* starve the solver of bound evaluations: Diverged after exactly one *)
   let d = Scenario.delay_bound_edf_checked ~s_points:16 ~max_iter:1 ~spec sc in
   Alcotest.(check bool) "diverged under max_iter:1" true
     (d.Diag.diag.Diag.status = Diag.Diverged);
+  Alcotest.(check int) "max_iter caps F evaluations" 1 d.Diag.value.Scenario.iterations;
   (* overloaded scenario: Unstable, no finite FIFO seed *)
   let over = Scenario.paper_defaults ~h:2 ~n_through:400. ~n_cross:400. in
   let u = Scenario.delay_bound_edf_checked ~s_points:16 ~spec over in
@@ -270,6 +277,35 @@ let test_checked_edf_bound () =
   let legacy = Scenario.delay_bound_edf ~s_points:16 ~spec sc in
   check_float "wrapper matches checked" o.Diag.value.Scenario.bound
     legacy.Scenario.bound
+
+(* A probe whose EDF fixed point did not converge has no valid bound:
+   admission keeps only probes whose checked solve is [Diag.ok] and
+   within the deadline.  Its answer is therefore a converged bound inside
+   the guarantee, and a starved solve (Diverged) fails that predicate. *)
+let test_admission_refuses_diverged_edf () =
+  let request =
+    {
+      Deltanet.Admission.base = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.3;
+      guarantee = { Deltanet.Admission.deadline = 40.; epsilon = 1e-9 };
+    }
+  in
+  let spec = { Scenario.cross_over_through = 10. } in
+  let u =
+    Deltanet.Admission.max_cross_utilization_edf ~s_points:8 ~resolution:1e-2 request
+      ~cross_over_through:10.
+  in
+  Alcotest.(check bool) (Fmt.str "converged probes admit cross load (%g)" u) true (u > 0.1);
+  let at_u ?max_iter () =
+    Scenario.delay_bound_edf_checked ~s_points:8 ?max_iter ~spec
+      (Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:u)
+  in
+  let o = at_u () in
+  Alcotest.(check bool)
+    (Fmt.str "admitted point converged within the deadline (%g)" o.Diag.value.Scenario.bound)
+    true
+    (Diag.ok o.Diag.diag && o.Diag.value.Scenario.bound <= 40.);
+  Alcotest.(check bool) "a Diverged solve is not ok, so it cannot fit" false
+    (Diag.ok (at_u ~max_iter:1 ()).Diag.diag)
 
 (* ---------------- resilient replication ---------------- *)
 
@@ -434,6 +470,8 @@ let suite =
     Alcotest.test_case "scenario input validation" `Quick test_scenario_validation;
     Alcotest.test_case "checked delay bound" `Quick test_checked_delay_bound;
     Alcotest.test_case "checked EDF fixed point" `Quick test_checked_edf_bound;
+    Alcotest.test_case "admission refuses a diverged EDF bound" `Quick
+      test_admission_refuses_diverged_edf;
     Alcotest.test_case "replicate retries" `Quick test_replicate_retry;
     Alcotest.test_case "replicate partial results" `Quick test_replicate_partial;
     Alcotest.test_case "replicate too few completions" `Quick test_replicate_too_few;
