@@ -82,22 +82,6 @@ let time_ns_per_op f n =
   done;
   !best
 
-(* The batched-vs-unbatched pair for a figure's representative cell:
-   both sides run in this same process via the E2e grid-batching toggle
-   (bit-identical results either way), so the ratio is a property of the
-   code, not of which machine regenerated the committed baseline — the
-   CI speedup floor asserts the ratio instead of comparing wall clocks
-   across runs. *)
-let report_cell_pair fig reps cell =
-  let t_b = time_ns_per_op cell reps in
-  Deltanet.E2e.set_grid_batching false;
-  let t_u = time_ns_per_op cell reps in
-  Deltanet.E2e.set_grid_batching true;
-  report_ns (fig ^ ".cell.batch") t_b;
-  report_ns (fig ^ ".cell.unbatched") t_u;
-  Fmt.pr "@.   representative cell: %.1f ms batched, %.1f ms unbatched (%.2fx)@."
-    (t_b /. 1e6) (t_u /. 1e6) (t_u /. t_b)
-
 let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
 
 (* Most bound evaluations the EDF fixed point may spend per figure cell
@@ -168,9 +152,6 @@ let fig2 ~short () =
   let cells = List.length hs * List.length us in
   report_ns "fig2.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  let rep_h = if short then 2 else 10 in
-  let sc_rep = Scenario.of_utilization ~h:rep_h ~u_through:0.15 ~u_cross:0.35 in
-  report_cell_pair "fig2" (if short then 2 else 6) (fun () -> bound sc_rep Classes.Fifo);
   csv_out "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms,edf_status" (List.rev !rows);
   check_figure "fig2" ~edf_iterations (List.rev !checks)
 
@@ -270,9 +251,6 @@ let fig4 ~short () =
   let cells = List.length us * List.length hs in
   report_ns "fig4.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  let rep_h = if short then 5 else 15 in
-  let sc_rep = Scenario.of_utilization ~h:rep_h ~u_through:0.25 ~u_cross:0.25 in
-  report_cell_pair "fig4" (if short then 2 else 6) (fun () -> bound sc_rep Classes.Fifo);
   csv_out "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms,edf_status" (List.rev !rows);
   check_figure "fig4" ~edf_iterations (List.rev !checks)
 
@@ -455,23 +433,22 @@ let sweep_par ~short () =
 
 (* ---------------------------------------------------------------- *)
 (* Eq. 38 kernel vs reference: ns per objective evaluation.  The compiled
-   [E2e.Kernel] must beat the list-based [E2e.Reference] while returning
-   bit-identical bounds (the equality is pinned in test/test_e2e.ml; here
-   we measure the speed gap and record it in BENCH_deltanet.json so CI can
-   catch regressions of the kernel/reference ratio). *)
+   [E2e.Kernel] must beat the list-based oracle ([Oracle], test/oracle)
+   while returning bit-identical bounds (the equality is pinned in
+   test/test_e2e.ml; here we measure the speed gap and record it in
+   BENCH_deltanet.json so CI can catch regressions of the
+   kernel/reference ratio). *)
 
-(* set by --baseline=FILE: compare the eq38 kernel/reference ratio against
-   the committed BENCH_deltanet.json and fail on a >25% regression *)
+(* set by --baseline=FILE: compare the eq38 kernel/reference ratio and the
+   figure evaluation counts against the committed BENCH_deltanet.json *)
 let baseline_file : string option ref = ref None
 
 let eq38 ~short () =
-  Fmt.pr "@.== Eq. 38: reference vs compiled kernel vs batched panel, ns/eval ==@.";
+  Fmt.pr "@.== Eq. 38: list-based reference vs compiled kernel, ns/eval ==@.";
   Fmt.pr "   (homogeneous FIFO paths; eval = fixed (gamma, sigma); sweep = 40@.";
-  Fmt.pr "    gamma points with sigma_for per point, the gamma-search shape;@.";
-  Fmt.pr "    batch = E2e.Batch: split row/point compile, warm-started sort,@.";
-  Fmt.pr "    node-major fold — bit-identical results)@.@.";
-  Fmt.pr "  %4s %6s %12s %12s %12s %8s %8s@." "H" "shape" "reference" "kernel"
-    "batch" "kern/ref" "bat/kern";
+  Fmt.pr "    gamma points with sigma_for per point, the gamma-search shape —@.";
+  Fmt.pr "    bit-identical results)@.@.";
+  Fmt.pr "  %4s %6s %12s %12s %8s@." "H" "shape" "reference" "kernel" "kern/ref";
   let through = Envelope.Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
   let cross = Envelope.Ebb.v ~m:1. ~rho:35. ~alpha:0.8 in
   let hs = if short then [ 5; 10 ] else [ 5; 10; 20 ] in
@@ -492,11 +469,7 @@ let eq38 ~short () =
       (* fixed-point evaluation: one objective minimization at (gamma, sigma);
          the kernel re-compiles its per-node constants each time, exactly as
          one gamma-search probe does *)
-      let r_eval =
-        time_ns_per_op
-          (fun () -> Deltanet.E2e.Reference.delay_given p ~gamma ~sigma)
-          iters
-      in
+      let r_eval = time_ns_per_op (fun () -> Oracle.delay_given p ~gamma ~sigma) iters in
       let k_eval =
         time_ns_per_op
           (fun () ->
@@ -504,17 +477,10 @@ let eq38 ~short () =
             Deltanet.E2e.Kernel.delay k)
           iters
       in
-      let bt = Deltanet.E2e.Batch.make p in
-      let b_eval =
-        time_ns_per_op
-          (fun () -> Deltanet.E2e.Batch.delay_given_at bt ~gamma ~sigma)
-          iters
-      in
       report_ns (Printf.sprintf "eq38.h%d.eval.reference" h) r_eval;
       report_ns (Printf.sprintf "eq38.h%d.eval.kernel" h) k_eval;
-      report_ns (Printf.sprintf "eq38.h%d.eval.batch" h) b_eval;
-      Fmt.pr "  %4d %6s %9.0f ns %9.0f ns %9.0f ns %7.2fx %7.2fx@." h "eval" r_eval
-        k_eval b_eval (r_eval /. k_eval) (k_eval /. b_eval);
+      Fmt.pr "  %4d %6s %9.0f ns %9.0f ns %7.2fx@." h "eval" r_eval k_eval
+        (r_eval /. k_eval);
       (* sweep evaluation: the full gamma grid of [delay_bound], including
          the sigma_for inversion per point *)
       let gmax = Deltanet.E2e.gamma_max p in
@@ -526,41 +492,25 @@ let eq38 ~short () =
           (fun () ->
             Array.iter
               (fun g ->
-                let s = Deltanet.E2e.Reference.sigma_for p ~gamma:g ~epsilon in
-                ignore
-                  (Sys.opaque_identity
-                     (Deltanet.E2e.Reference.delay_given p ~gamma:g ~sigma:s)))
+                let s = Oracle.sigma_for p ~gamma:g ~epsilon in
+                ignore (Sys.opaque_identity (Oracle.delay_given p ~gamma:g ~sigma:s)))
               grid)
           sweep_reps
         /. float_of_int points
       in
+      (* the kernel sweep is the production grid shape: one retained
+         kernel walks the whole grid into a caller-provided buffer *)
+      let out = Array.make points 0. in
       let k_sweep =
         time_ns_per_op
-          (fun () ->
-            Array.iter
-              (fun g ->
-                let s = Deltanet.E2e.Kernel.sigma_for k ~gamma:g ~epsilon in
-                Deltanet.E2e.Kernel.set k ~gamma:g ~sigma:s;
-                ignore (Sys.opaque_identity (Deltanet.E2e.Kernel.delay k)))
-              grid)
-          sweep_reps
-        /. float_of_int points
-      in
-      (* the batched sweep: the exact delay_grid block shape — one
-         retained batch walks the whole grid into a caller-provided
-         buffer, warm-starting the candidate sort between points *)
-      let out = Array.make points 0. in
-      let b_sweep =
-        time_ns_per_op
-          (fun () -> Deltanet.E2e.Batch.run_gammas bt ~epsilon ~gammas:grid ~out)
+          (fun () -> Deltanet.E2e.Kernel.run_gammas k ~epsilon ~gammas:grid ~out)
           sweep_reps
         /. float_of_int points
       in
       report_ns (Printf.sprintf "eq38.h%d.sweep.reference" h) r_sweep;
       report_ns (Printf.sprintf "eq38.h%d.sweep.kernel" h) k_sweep;
-      report_ns (Printf.sprintf "eq38.h%d.sweep.batch" h) b_sweep;
-      Fmt.pr "  %4d %6s %9.0f ns %9.0f ns %9.0f ns %7.2fx %7.2fx@." h "sweep" r_sweep
-        k_sweep b_sweep (r_sweep /. k_sweep) (k_sweep /. b_sweep))
+      Fmt.pr "  %4d %6s %9.0f ns %9.0f ns %7.2fx@." h "sweep" r_sweep k_sweep
+        (r_sweep /. k_sweep))
     hs
 
 (* ---------------------------------------------------------------- *)
@@ -812,17 +762,23 @@ let telemetry_bench ~short () =
   let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points in
   (* the pool would split this grid into [min n (4*jobs)] chunks whose
      per-chunk records run spread across the domains; one event per 16
-     grid steps matches that per-domain record density on one domain *)
+     grid steps matches that per-domain record density on one domain.
+     Each chunk is one [Kernel.run_gammas] row, the production grid
+     shape. *)
   let chunk = 16 in
+  let chunks =
+    Array.init
+      ((points + chunk - 1) / chunk)
+      (fun c -> Array.sub grid (c * chunk) (Int.min chunk (points - (c * chunk))))
+  in
+  let out = Array.make chunk 0. in
   let sweep () =
     Telemetry.span "bench.eq38.sweep" @@ fun () ->
-    Array.iteri
-      (fun i g ->
-        if i mod chunk = 0 then Telemetry.event "bench.eq38.chunk";
-        let s = Deltanet.E2e.Kernel.sigma_for k ~gamma:g ~epsilon in
-        Deltanet.E2e.Kernel.set k ~gamma:g ~sigma:s;
-        ignore (Sys.opaque_identity (Deltanet.E2e.Kernel.delay k)))
-      grid
+    Array.iter
+      (fun gammas ->
+        Telemetry.event "bench.eq38.chunk";
+        Deltanet.E2e.Kernel.run_gammas k ~epsilon ~gammas ~out)
+      chunks
   in
   let rounds = if short then 4 else 10 in
   let per_batch = if short then 40 else 200 in
@@ -1044,15 +1000,11 @@ let read_bench_file path =
   | None -> failwith (path ^ ": no schema version field"));
   src
 
-(* Compare the eq38 speed ratios of this run against the committed
-   baseline, one pair family at a time: kernel/reference (the PR 5 gate)
-   and batch/kernel (the panel evaluator's edge).  Each ratio is
-   machine-independent (both sides ran on the same box), so CI can
-   enforce it across runner generations.  The fig*.cell.{batch,
-   unbatched} pairs are gated the same way — plus an absolute floor,
-   checked whether or not the baseline has the keys, so the batched
-   figure path must actually beat the retained per-point path. *)
-let check_ratio_family ~src ~path ~current ~fast_suffix ~slow_suffix ~label =
+(* Compare the eq38 kernel/reference speed ratio of this run against the
+   committed baseline.  The ratio is machine-independent (both sides ran
+   on the same box), so CI can enforce it across runner generations. *)
+let check_kernel_ratio ~src ~path ~current =
+  let fast_suffix = ".kernel" and slow_suffix = ".reference" and label = "kernel/reference" in
   let checked = ref 0 in
   let log_now = ref 0. and log_base = ref 0. in
   List.iter
@@ -1095,50 +1047,53 @@ let check_ratio_family ~src ~path ~current ~fast_suffix ~slow_suffix ~label =
     end
   end
 
-(* The absolute floor on the batched figure path: geomean of
-   unbatched/batch over the fig*.cell pairs present in this run must
-   clear [floor].  Asserted from the current run alone — the toggle runs
-   both sides in one process, so no baseline wall clock is involved. *)
-let check_figure_speedup ~current ~floor =
-  let figs = [ "fig2"; "fig4" ] in
-  let log_sum = ref 0. and n = ref 0 in
-  List.iter
-    (fun fig ->
-      match
-        ( List.assoc_opt (fig ^ ".cell.batch") current,
-          List.assoc_opt (fig ^ ".cell.unbatched") current )
-      with
-      | Some b, Some u when b > 0. && u > 0. ->
-        Fmt.pr "   %-28s batched speedup %.2fx@." (fig ^ ".cell") (u /. b);
-        log_sum := !log_sum +. log (u /. b);
-        incr n
-      | _ -> ())
-    figs;
-  if !n > 0 then begin
-    let mean = exp (!log_sum /. float_of_int !n) in
-    let ok = mean >= floor in
-    Fmt.pr "   %-28s %.2fx (floor %.1fx) %s@." "geomean fig speedup" mean floor
-      (if ok then "ok" else "BELOW FLOOR");
-    if not ok then begin
-      Fmt.epr "FATAL: batched figure speedup %.2fx below the %.1fx floor@." mean floor;
-      (exit [@lint.allow "raw-exit"]) 1
-    end
-  end
+(* The [key] counter of section [section] in a bench file, if recorded:
+   the search is confined to that section's object, which runs up to
+   the next section's "name" key. *)
+let section_counter src ~section ~key =
+  match find_substring src ("\"name\":\"" ^ section ^ "\"") 0 with
+  | None -> None
+  | Some start ->
+    let stop =
+      Option.value ~default:(String.length src) (find_substring src "\"name\":" (start + 1))
+    in
+    json_number_field (String.sub src start (stop - start)) ~key
 
-let check_against_baseline path reports =
+(* The machine-independent figure gate: the Eq.-38 objective evaluations
+   and gamma-search evaluations each of fig2/fig4 spends must not exceed
+   the baseline's.  Counts depend only on the mode (short runs fewer
+   cells), not on the machine or the jobs setting, so the gate applies
+   only when this run's mode matches the baseline's. *)
+let check_eval_counts ~src ~path ~mode reports =
+  if find_substring src ("\"mode\":\"" ^ mode ^ "\"") 0 = None then
+    Fmt.pr "   baseline %s is not a %s-mode run; evaluation counts not checked@." path mode
+  else
+    List.iter
+      (fun r ->
+        if List.mem r.sec_name [ "fig2"; "fig4" ] then
+          List.iter
+            (fun key ->
+              let now = Option.value ~default:0 (List.assoc_opt key r.sec_counters) in
+              match section_counter src ~section:r.sec_name ~key with
+              | None ->
+                Fmt.pr "   baseline %s has no %s %s count; not checked@." path r.sec_name key
+              | Some base ->
+                let ok = float_of_int now <= base in
+                Fmt.pr "   %-36s %d (baseline %.0f) %s@." (r.sec_name ^ " " ^ key) now base
+                  (if ok then "ok" else "EXCEEDED");
+                if not ok then begin
+                  Fmt.epr "FATAL: %s spent %d %s, more than the %.0f in %s@." r.sec_name now
+                    key base path;
+                  (exit [@lint.allow "raw-exit"]) 1
+                end)
+            [ "e2e.eq38.objective_evals"; "e2e.gamma.evals" ])
+      reports
+
+let check_against_baseline path ~mode reports =
   let src = read_bench_file path in
   let current = List.concat_map (fun r -> r.sec_ns_per_op) reports in
-  check_ratio_family ~src ~path ~current ~fast_suffix:".kernel"
-    ~slow_suffix:".reference" ~label:"kernel/reference";
-  check_ratio_family ~src ~path ~current ~fast_suffix:".batch"
-    ~slow_suffix:".kernel" ~label:"batch/kernel";
-  check_ratio_family ~src ~path ~current ~fast_suffix:".cell.batch"
-    ~slow_suffix:".cell.unbatched" ~label:"figure batch/unbatched";
-  (* measured toggle geomean is ~1.35-1.45x (the golden phase pins the
-     eval sequence bit-exactly, so only per-eval cost shrinks — see
-     ROADMAP item 5 for the full accounting); 1.15 clears runner noise
-     while still failing if batching stops paying at all *)
-  check_figure_speedup ~current ~floor:1.15
+  check_kernel_ratio ~src ~path ~current;
+  check_eval_counts ~src ~path ~mode reports
 
 (* ---------------------------------------------------------------- *)
 (* desim: event engine vs the slotted oracle on the workload the event
@@ -1336,11 +1291,11 @@ let () =
     List.map (fun name -> timed name (List.assoc name known)) requested
   in
   let total = Unix.gettimeofday () -. t0 in
-  write_bench_json ~mode:(if short then "short" else "full") ~jobs:!par_jobs
-    ~total_wall_s:total reports;
+  let mode = if short then "short" else "full" in
+  write_bench_json ~mode ~jobs:!par_jobs ~total_wall_s:total reports;
   (match !baseline_file with
   | None -> ()
   | Some path ->
-    Fmt.pr "@.== ns/op regression check vs %s ==@." path;
-    check_against_baseline path reports);
+    Fmt.pr "@.== regression check vs %s ==@." path;
+    check_against_baseline path ~mode reports);
   Fmt.pr "@.[total: %.1f s]@." total

@@ -31,8 +31,7 @@ let fanout_sites =
     "Default.map_list";
     "Default.map_reduce";
     "Grid.values";
-    "Grid.min_value";
-    "Grid.argmin";
+    "Grid.values_blocked";
   ]
 
 let spawn_sites = [ "Domain.spawn" ]

@@ -43,71 +43,44 @@ let delay_bound ?(gamma_points = 40) ~capacity ~cross ~h ~epsilon through =
   (* Stability over the whole path needs rho +. h * gamma +. gamma below the
      leftover rate; reuse the Eq.-32-style cap. *)
   let gmax = (capacity -. cross.Ebb.rho -. through.Ebb.rho) /. float_of_int (h + 1) in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "additive.gamma_search"
-      ~attrs:[ ("h", Telemetry.Int h); ("points", Telemetry.Int gamma_points) ]
-    @@ fun () ->
-  begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon)
-    in
-    (* the per-node recursion inside [analyze] is data-dependent and stays
-       sequential; the independent gamma grid points fan out instead, in
-       blocks of 10 per pool task (matching E2e.delay_grid) so the pool's
-       [?work] hint is the true per-chunk cost.  The fold below is
-       Grid.min_value's: seeded with the first value, strict-<, index
-       order — bit-identical to the per-point fan-out. *)
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    let vals =
-      Parallel.Grid.values_blocked ~work:((16 * h) + 32) ~block:10 (Array.map f)
-        (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
-    in
-    let best = ref vals.(0) in
-    for i = 1 to Array.length vals - 1 do
-      if vals.(i) < !best then best := vals.(i)
-    done;
-    !best
-  end
+  E2e.with_gamma_range ~who:"Additive.delay_bound" ~epsilon gmax @@ fun ~lo ~hi ->
+  Telemetry.span "additive.gamma_search"
+    ~attrs:[ ("h", Telemetry.Int h); ("points", Telemetry.Int gamma_points) ]
+  @@ fun () ->
+  let f gamma =
+    if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+    snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon)
+  in
+  (* the per-node recursion inside [analyze] is data-dependent and stays
+     sequential; the independent gamma grid points fan out instead, in
+     blocks of 10 per pool task so the pool's [?work] hint is the true
+     per-chunk cost *)
+  let scan =
+    Parallel.Grid.log_scan ~lo ~hi ~points:gamma_points
+      (Parallel.Grid.values_blocked ~work:((16 * h) + 32) ~block:10 (Array.map f))
+  in
+  scan.values.(scan.best)
 
 let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
-  let f s =
-    let through = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_through ~s in
-    let cross = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_cross ~s in
-    delay_bound ~capacity:sc.Scenario.capacity ~cross ~h:sc.Scenario.h
-      ~epsilon:sc.Scenario.epsilon through
-  in
-  (* Same stable-s search as Scenario.delay_bound. *)
-  let stable s =
-    let eb = Envelope.Mmpp.effective_bandwidth sc.Scenario.source ~s in
-    (sc.Scenario.n_through +. sc.Scenario.n_cross) *. eb < sc.Scenario.capacity *. 0.9999
-  in
-  if not (stable 1e-6) then Float.infinity
-  else
+  match Scenario.s_bracket sc with
+  | None -> Float.infinity
+  | Some s_max ->
     Telemetry.span "additive.s_grid"
       ~attrs:[ ("h", Telemetry.Int sc.Scenario.h); ("s_points", Telemetry.Int s_points) ]
     @@ fun () ->
-  begin
-    let rec grow hi tries =
-      if tries = 0 then hi else if stable hi then grow (2. *. hi) (tries - 1) else hi
+    let f s =
+      if !Telemetry.on then Telemetry.Counter.incr c_s_evals;
+      let through = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_through ~s in
+      let cross = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_cross ~s in
+      delay_bound ~capacity:sc.Scenario.capacity ~cross ~h:sc.Scenario.h
+        ~epsilon:sc.Scenario.epsilon through
     in
-    let s_max = grow 1e-6 60 in
-    let lo = s_max *. 1e-4 and hi = s_max *. 0.5 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
-    let f s = if !Telemetry.on then Telemetry.Counter.incr c_s_evals; f s in
-    (* each s-point is a full inner gamma search over [analyze]; blocks
-       of 4 s-points per pool task, same index-order strict-< fold *)
-    let vals =
-      Parallel.Grid.values_blocked
-        ~work:(40 * ((16 * sc.Scenario.h) + 32))
-        ~block:4 (Array.map f)
-        (Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points)
+    (* each s-point is a full inner gamma search over [analyze]: blocks
+       of 4 s-points per pool task *)
+    let scan =
+      Parallel.Grid.log_scan ~lo:(s_max *. 1e-4) ~hi:(s_max *. 0.5) ~points:s_points
+        (Parallel.Grid.values_blocked
+           ~work:(40 * ((16 * sc.Scenario.h) + 32))
+           ~block:4 (Array.map f))
     in
-    let best = ref vals.(0) in
-    for i = 1 to Array.length vals - 1 do
-      if vals.(i) < !best then best := vals.(i)
-    done;
-    !best
-  end
+    scan.values.(scan.best)

@@ -187,13 +187,12 @@ let[@inline] fne (a : float) (b : float) =
    [make] flattens the path into plain arrays once, [set] compiles the
    per-node constants (c_h, margin_h, clipped-∆ case tags) for one
    (gamma, sigma) and writes the candidate abscissae into a reusable
-   scratch buffer sorted in place, and the theta/objective evaluations
-   dispatch on int case tags with no allocation, no variant matching
-   and no list sorting in the inner loop.  Every float expression
-   mirrors the list-based reference operation for operation — same
-   operands, same order — so all results are bit-identical to
-   [Reference.delay_given]/[Reference.sigma_for]; the QCheck suite pins
-   this bit-for-bit. *)
+   scratch buffer sorted in place, and [delay] folds the objective over
+   the candidates with no allocation, no variant matching and no list
+   sorting.  Every float expression mirrors the list-based [x_candidates]
+   / [objective] / [sigma_for] operation for operation — same operands,
+   same order — so all results are bit-identical to them; the QCheck
+   suite pins this bit-for-bit against the oracle in test/oracle. *)
 module Kernel = struct
   type t = {
     h : int;
@@ -219,6 +218,7 @@ module Kernel = struct
     case : int array;   (* see [theta_at] *)
     cand : float array; (* sorted unique candidate abscissae, first [ncand] *)
     mutable ncand : int;
+    acc : float array;  (* per-candidate objective accumulators of [delay] *)
   }
 
   let make p =
@@ -269,6 +269,7 @@ module Kernel = struct
       case = Array.make h 0;
       cand = Array.make ((3 * h) + 1) 0.;
       ncand = 0;
+      acc = Array.make ((3 * h) + 1) 0.;
     }
 
   (* [sigma_for] with the shared-decay algebra folded out: the reference
@@ -411,8 +412,6 @@ module Kernel = struct
     end
   [@@zero_alloc_check]
 
-  let candidate_count t = t.ncand
-
   (* [theta_of_x] over the compiled constants: int-tag dispatch, no
      allocation.  The guards and both sides of every comparison are the
      reference expressions with the invariant subterms precomputed. *)
@@ -446,11 +445,86 @@ module Kernel = struct
     !acc
   [@@zero_alloc_check]
 
+  (* The objective fold, node-major: each accumulator starts at its
+     candidate and receives the thetas in node order — the theta
+     expressions below are [theta_at]'s, operation for operation — so
+     every partial sum, and hence the final [Float.min] fold in candidate
+     order, equals [objective] at that candidate bit for bit.  Sweeping
+     node-major dispatches each node's case tag once per point instead of
+     once per (candidate, node) pair and keeps that node's constants in
+     registers across the whole candidate row. *)
   let delay t =
-    if !Telemetry.on then Telemetry.Counter.add c_objective_evals t.ncand;
+    let n = t.ncand in
+    let cand = t.cand and acc = t.acc in
+    (* [j < n = ncand <= 3H+1 = length cand = length acc] throughout —
+       the unsafe accesses below drop the per-pair bounds checks only. *)
+    for j = 0 to n - 1 do
+      Array.unsafe_set acc j (Array.unsafe_get cand j)
+    done;
+    for i = 0 to t.h - 1 do
+      match t.case.(i) with
+      | 0 ->
+        for j = 0 to n - 1 do
+          Array.unsafe_set acc j (Array.unsafe_get acc j +. Float.infinity)
+        done
+      | 1 ->
+        let s = t.s_c.(i) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set acc j
+            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
+        done
+      | 2 ->
+        let s = t.s_m.(i) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set acc j
+            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
+        done
+      | 3 ->
+        let mg = t.mg.(i)
+        and sg = t.sigma
+        and s_m = t.s_m.(i)
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get cand j in
+          let th =
+            if mg *. x >= sg then 0.
+            else if s_m -. x <= dv then s_m -. x
+            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
+          in
+          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
+        done
+      | 4 ->
+        let mg = t.mg.(i)
+        and sg = t.sigma
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get cand j in
+          let th =
+            if mg *. x >= sg then 0.
+            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
+          in
+          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
+        done
+      | _ ->
+        let sg = t.sigma
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
+        for j = 0 to n - 1 do
+          let x = Array.unsafe_get cand j in
+          Array.unsafe_set acc j
+            (Array.unsafe_get acc j
+            +. fmax0 (((sg +. (r *. fmax0 (x +. dv))) /. c) -. x))
+        done
+    done;
+    if !Telemetry.on then Telemetry.Counter.add c_objective_evals n;
     let best = ref Float.infinity in
-    for i = 0 to t.ncand - 1 do
-      best := fmin1 !best (objective_at t t.cand.(i))
+    for j = 0 to n - 1 do
+      best := fmin1 !best (Array.unsafe_get acc j)
     done;
     !best
   [@@zero_alloc_check]
@@ -474,346 +548,17 @@ module Kernel = struct
     set t ~gamma ~sigma;
     delay t
   [@@zero_alloc_check]
-end
 
-(* --------------------------------------------------------------- *)
-(* Structure-of-arrays panel evaluation over a compiled kernel        *)
-
-(* [Batch] evaluates whole γ×s panels of Eq.-38 delays over the flat
-   arrays of one compiled {!Kernel}.  Three things make a panel cheaper
-   than a loop of [Kernel.set]/[Kernel.delay] calls:
-
-   - [Kernel.set] is split into a γ-dependent row compile ([set_row]:
-     c_h, margin, r and the case tags — none of which read sigma) and a
-     σ-dependent point compile ([set_sigma]: the sigma ratios and the
-     candidate multiset), so a row of σ values shares one γ compile;
-   - the candidate sort warm-starts from the previous point's sorted
-     permutation: the candidates are smooth functions of (γ, σ), so
-     adjacent grid points present an almost-sorted buffer and the
-     insertion sort runs in near-linear time instead of quadratic;
-   - the delay fold sweeps node-major over per-candidate accumulators
-     instead of candidate-major over [Kernel.objective_at], so each
-     node's case tag is dispatched once per point rather than once per
-     (candidate, node) pair (see [delay]).
-
-   None of this changes a single output bit.  [set_row]+[set_sigma]
-   evaluate exactly the float expressions of [Kernel.set] in the same
-   order, the sorted-unique candidate array is a pure function of the
-   candidate multiset (any Float.compare sort of the same multiset,
-   deduped by compare-equality, yields the same floats in the same
-   slots), and the interchanged fold adds the same thetas to the same
-   starting values in the same (node) order per candidate.  The QCheck
-   suite pins [Batch] ≡ [Kernel] ≡ [Reference] bitwise on random
-   panels. *)
-module Batch = struct
-  type t = {
-    k : Kernel.t;
-    raw : float array;   (* candidate multiset in push order *)
-    perm : int array;    (* sorted position -> push position, last point *)
-    mutable nperm : int; (* valid [perm] arity; -1 before the first point *)
-    acc : float array;   (* per-candidate objective accumulators *)
-  }
-
-  let make p =
-    let k = Kernel.make p in
-    let cap = (3 * hop_count p) + 1 in
-    {
-      k;
-      raw = Array.make cap 0.;
-      perm = Array.make cap 0;
-      nperm = -1;
-      acc = Array.make cap 0.;
-    }
-
-  let kernel t = t.k
-
-  (* The γ-dependent half of [Kernel.set]: per-node constants and case
-     tags.  Same expressions, same order; nothing here reads sigma. *)
-  let set_row t ~gamma =
-    let k = t.k in
-    for i = 0 to k.Kernel.h - 1 do
-      let c_h = k.Kernel.cap.(i) -. (float_of_int i *. gamma) in
-      let margin = c_h -. k.Kernel.rho.(i) -. gamma in
-      k.Kernel.c.(i) <- c_h;
-      k.Kernel.mg.(i) <- margin;
-      k.Kernel.r.(i) <- k.Kernel.rho.(i) +. gamma;
-      if c_h <= 0. then k.Kernel.case.(i) <- 0
-      else
-        match k.Kernel.tag.(i) with
-        | 0 -> k.Kernel.case.(i) <- 1
-        | 1 -> k.Kernel.case.(i) <- (if margin > 0. then 2 else 0)
-        | 2 -> k.Kernel.case.(i) <- (if margin > 0. then 3 else 4)
-        | _ -> k.Kernel.case.(i) <- 5
-    done
-  [@@zero_alloc_check]
-
-  (* The σ-dependent half: per-node sigma ratios and the candidate
-     multiset — the same pushes, filters and float expressions as
-     [Kernel.set], keyed off the case tags [set_row] compiled — then
-     the warm-started insertion sort.  Seeding the buffer through the
-     previous point's sorted permutation leaves it almost sorted for
-     adjacent grid points; the sort itself stays exact, so the sorted
-     array equals [List.sort_uniq Float.compare] on the same multiset
-     no matter how stale the permutation is. *)
-  let set_sigma t ~sigma =
-    let k = t.k in
-    k.Kernel.sigma <- sigma;
-    t.raw.(0) <- 0.;
-    let n = ref 1 in
-    for i = 0 to k.Kernel.h - 1 do
-      let s_c = sigma /. k.Kernel.c.(i) in
-      let s_m = sigma /. k.Kernel.mg.(i) in
-      k.Kernel.s_c.(i) <- s_c;
-      k.Kernel.s_m.(i) <- s_m;
-      let push x =
-        if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then begin
-          t.raw.(!n) <- x;
-          incr n
-        end
-      in
-      match k.Kernel.case.(i) with
-      | 1 -> push s_c
-      | 2 -> push s_m
-      | 3 ->
-        push s_m;
-        push (s_m -. k.Kernel.dv.(i))
-      | 5 ->
-        push (-.k.Kernel.dv.(i));
-        push s_c;
-        if k.Kernel.mg.(i) > 0. then
-          push ((sigma +. (k.Kernel.r.(i) *. k.Kernel.dv.(i))) /. k.Kernel.mg.(i))
-      | _ -> ()
-    done;
-    let n = !n in
-    let cand = k.Kernel.cand in
-    if t.nperm = n then
-      for j = 0 to n - 1 do
-        cand.(j) <- t.raw.(t.perm.(j))
-      done
-    else
-      for j = 0 to n - 1 do
-        cand.(j) <- t.raw.(j);
-        t.perm.(j) <- j
-      done;
-    for i = 1 to n - 1 do
-      let x = cand.(i) in
-      let px = t.perm.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && fgt cand.(!j) x do
-        cand.(!j + 1) <- cand.(!j);
-        t.perm.(!j + 1) <- t.perm.(!j);
-        decr j
-      done;
-      cand.(!j + 1) <- x;
-      t.perm.(!j + 1) <- px
-    done;
-    t.nperm <- n;
-    (* adjacent dedup, exactly as [Kernel.set]; [perm] keeps the
-       pre-dedup arity — the next point rebuilds from [raw] anyway *)
-    k.Kernel.ncand <- n;
-    if n > 1 then begin
-      let w = ref 1 in
-      for i = 1 to n - 1 do
-        if fne cand.(i) cand.(!w - 1) then begin
-          cand.(!w) <- cand.(i);
-          incr w
-        end
-      done;
-      k.Kernel.ncand <- !w
-    end
-  [@@zero_alloc_check]
-
-  (* [Kernel.delay] with the candidate/node loops interchanged:
-     [Kernel.objective_at] re-dispatches the case tag and reloads the
-     per-node constants for every (candidate, node) pair; sweeping
-     node-major instead dispatches once per node, keeps that node's
-     constants in registers across the whole candidate row, and adds its
-     theta into a per-candidate accumulator.  Each accumulator still
-     starts at its candidate and receives the thetas in node order — the
-     theta expressions below are [Kernel.theta_at]'s, operation for
-     operation — so every partial sum, and hence the final [Float.min]
-     fold in candidate order, is bit-identical to [Kernel.delay]
-     (QCheck-pinned). *)
-  let delay t =
-    let k = t.k in
-    let n = k.Kernel.ncand in
-    let cand = k.Kernel.cand and acc = t.acc in
-    (* [j < n = ncand <= 3H+1 = length cand = length acc] throughout —
-       the unsafe accesses below drop the per-pair bounds checks only. *)
-    for j = 0 to n - 1 do
-      Array.unsafe_set acc j (Array.unsafe_get cand j)
-    done;
-    for i = 0 to k.Kernel.h - 1 do
-      match k.Kernel.case.(i) with
-      | 0 ->
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. Float.infinity)
-        done
-      | 1 ->
-        let s = k.Kernel.s_c.(i) in
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
-        done
-      | 2 ->
-        let s = k.Kernel.s_m.(i) in
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
-        done
-      | 3 ->
-        let mg = k.Kernel.mg.(i)
-        and sg = k.Kernel.sigma
-        and s_m = k.Kernel.s_m.(i)
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          let th =
-            if mg *. x >= sg then 0.
-            else if s_m -. x <= dv then s_m -. x
-            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
-          in
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
-        done
-      | 4 ->
-        let mg = k.Kernel.mg.(i)
-        and sg = k.Kernel.sigma
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          let th =
-            if mg *. x >= sg then 0.
-            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
-          in
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
-        done
-      | _ ->
-        let sg = k.Kernel.sigma
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j
-            +. fmax0 (((sg +. (r *. fmax0 (x +. dv))) /. c) -. x))
-        done
-    done;
-    if !Telemetry.on then Telemetry.Counter.add c_objective_evals n;
-    let best = ref Float.infinity in
-    for j = 0 to n - 1 do
-      best := fmin1 !best (Array.unsafe_get acc j)
-    done;
-    !best
-  [@@zero_alloc_check]
-
-  (* Diagonal points — gamma AND sigma both change — compile through
-     [Kernel.set]: the split row/σ compile walks the nodes twice and
-     maintains the warm-start permutation, which only pays off when the
-     γ half is reused across a row ([run_panel]).  On a diagonal the
-     fused single-pass compile is strictly cheaper, and the candidate
-     buffer it leaves behind is the same sorted array either way. *)
-  let delay_given_at t ~gamma ~sigma =
-    Kernel.set t.k ~gamma ~sigma;
-    t.nperm <- -1;
-    delay t
-  [@@zero_alloc_check]
-
-  let delay_at_gamma t ~gamma ~epsilon =
-    let sigma = Kernel.sigma_for t.k ~gamma ~epsilon in
-    Kernel.set t.k ~gamma ~sigma;
-    t.nperm <- -1;
-    delay t
-  [@@zero_alloc_check]
-
-  (* The panel drivers.  All hot-loop state lives in the compiled batch
-     and the caller's output buffer: nothing below allocates (enforced
-     by the zero_alloc analyzer), so a worker can stream panels of any
-     size without touching the GC. *)
-
+  (* All hot-loop state lives in the kernel and the caller's output
+     buffer, so a worker can stream γ rows of any length without
+     touching the GC (enforced by the zero_alloc analyzer). *)
   let run_gammas t ~epsilon ~gammas ~out =
     if Array.length out < Array.length gammas then
-      invalid_arg "E2e.Batch.run_gammas: output buffer shorter than the grid";
+      invalid_arg "E2e.Kernel.run_gammas: output buffer shorter than the grid";
     for i = 0 to Array.length gammas - 1 do
       out.(i) <- delay_at_gamma t ~gamma:gammas.(i) ~epsilon
     done
   [@@zero_alloc_check]
-
-  let run_points t ~gammas ~sigmas ~out =
-    let n = Array.length gammas in
-    if Array.length sigmas <> n then
-      invalid_arg "E2e.Batch.run_points: gamma/sigma arity mismatch";
-    if Array.length out < n then
-      invalid_arg "E2e.Batch.run_points: output buffer shorter than the points";
-    for i = 0 to n - 1 do
-      out.(i) <- delay_given_at t ~gamma:gammas.(i) ~sigma:sigmas.(i)
-    done
-  [@@zero_alloc_check]
-
-  let run_panel t ~gammas ~sigmas ~out =
-    let ng = Array.length gammas and ns = Array.length sigmas in
-    if Array.length out < ng * ns then
-      invalid_arg "E2e.Batch.run_panel: output buffer shorter than the panel";
-    for i = 0 to ng - 1 do
-      set_row t ~gamma:gammas.(i);
-      let row = i * ns in
-      for j = 0 to ns - 1 do
-        set_sigma t ~sigma:sigmas.(j);
-        out.(row + j) <- delay t
-      done
-    done
-  [@@zero_alloc_check]
-end
-
-(* The pre-kernel list-based solver, retained verbatim: the oracle for
-   the QCheck bit-for-bit equivalence properties and the baseline side
-   of the ns/op benchmark. *)
-module Reference = struct
-  let delay_given p ~gamma ~sigma =
-    if sigma < 0. then invalid_arg "E2e.delay_given: negative sigma";
-    let cands = x_candidates p ~gamma ~sigma in
-    if !Telemetry.on then
-      Telemetry.Counter.add c_objective_evals (List.length cands);
-    (* The objective is piecewise linear with kinks exactly at the candidate
-       abscissae, so its minimum over X >= 0 is attained at one of them. *)
-    List.fold_left
-      (fun acc x -> Float.min acc (objective p ~gamma ~sigma x))
-      Float.infinity cands
-
-  let optimal_thetas p ~gamma ~sigma =
-    let cands = x_candidates p ~gamma ~sigma in
-    if !Telemetry.on then
-      Telemetry.Counter.add c_objective_evals (List.length cands + 1);
-    let best =
-      List.fold_left
-        (fun (bx, bv) x ->
-          let v = objective p ~gamma ~sigma x in
-          if v < bv then (x, v) else (bx, bv))
-        (0., objective p ~gamma ~sigma 0.)
-        cands
-    in
-    let x = fst best in
-    (Array.init (hop_count p) (fun h -> theta_of_x p ~gamma ~sigma ~x h), x)
-
-  let sigma_for = sigma_for
-
-  (* O(H^2): [suffix_sum] re-walks the tail for every candidate K. *)
-  let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
-    let term k =
-      (c -. rho_c -. (float_of_int k *. gamma))
-      /. (c -. (float_of_int (k - 1) *. gamma))
-    in
-    let rec suffix_sum k = if k > h then 0. else term k +. suffix_sum (k + 1) in
-    let rec find k =
-      if k > h then h
-      else if suffix_sum (k + 1) < 1. && extra_ok k then k
-      else find (k + 1)
-    in
-    find 0
 end
 
 let delay_given p ~gamma ~sigma =
@@ -903,29 +648,16 @@ let backlog_given p ~gamma ~sigma =
     Float.infinity
     (x_candidates p ~gamma ~sigma)
 
-let backlog_bound ?(gamma_points = 40) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "e2e.backlog_gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
-    @@ fun () ->
-  begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      let sigma = sigma_for p ~gamma ~epsilon in
-      backlog_given p ~gamma ~sigma
-    in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    (* grid points fan out on the default pool; Grid keeps the abscissae
-       and the running-minimum fold bit-identical to the sequential loop.
-       Curve construction dominates each evaluation, hence the h^3 hint. *)
-    let h = hop_count p in
-    Parallel.Grid.min_value ~work:((32 * h * h * h) + 200) f
-      (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
-  end
+(* --------------------------------------------------------------- *)
+(* The gamma search                                                  *)
+
+(* The one entry every gamma search goes through: the violation
+   probability must lie in (0, 1) — written as the negation of the
+   in-range test so NaN is rejected too — and an overloaded path
+   ([gmax <= 0]) has no finite bound. *)
+let with_gamma_range ~who ~epsilon gmax search =
+  if not (epsilon > 0. && epsilon < 1.) then invalid_arg (who ^ ": epsilon out of range");
+  if gmax <= 0. then Float.infinity else search ~lo:(gmax *. 1e-6) ~hi:(gmax *. 0.999)
 
 let golden_minimize f lo hi steps =
   let phi = (sqrt 5. -. 1.) /. 2. in
@@ -937,32 +669,23 @@ let golden_minimize f lo hi steps =
   in
   go lo hi steps
 
-(* The shared gamma-search skeleton: a log-spaced coarse grid handed
-   whole to [grid_vals] (the batched scan of [delay_grid], or a
-   [Parallel.Grid.values] fan-out — either way the index-order strict-<
-   fold below is exactly [Parallel.Grid.argmin]), then sequential
-   golden-section refinement around the best grid point.  [golden_eval]
-   runs on the calling domain only, so it may reuse one compiled batch.
-   Both are pure functions of gamma, so the golden phase memoizes per
-   gamma value.  The memo is a small ring of recent probes scanned by
-   primitive float [=] (gammas are positive and non-NaN, so value
-   equality is bit equality): golden-section probes cluster as the
-   bracket shrinks, so collisions — when the narrowed bracket re-lands
-   on a recent abscissa, or the final midpoint repeats a probe — are
-   always with the last few evaluations, and a fixed window catches
-   them at constant scan cost where a full history scan of every probe
-   paid its whole length on each miss.  A hit and a recomputation
-   return the same float, so memo policy can never change the result;
-   the flat arrays keep the golden loop off the GC (the old [Hashtbl]
-   keyed on [Int64.bits_of_float] boxed a key per probe). *)
-let gamma_search ~gamma_points ~grid_vals ~golden_eval ~lo ~hi =
-  let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-  let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points in
-  let vals = grid_vals grid in
-  let bi = ref 0 in
-  for i = 1 to Array.length vals - 1 do
-    if vals.(i) < vals.(!bi) then bi := i
-  done;
+(* The gamma-search skeleton: the log-spaced coarse grid of
+   [Parallel.Grid.log_scan], evaluated whole by [grid] (a blocked kernel
+   scan, a per-point fan-out, or a sequential map), then [golden_steps]
+   of sequential golden-section refinement around the best grid point.
+   [golden] runs on the calling domain only, so it may reuse one
+   compiled kernel.  Both are pure functions of gamma, so the golden
+   phase memoizes per gamma value.  The memo is a small ring of recent
+   probes scanned by primitive float [=] (gammas are positive and
+   non-NaN, so value equality is bit equality): golden-section probes
+   cluster as the bracket shrinks, so collisions — when the narrowed
+   bracket re-lands on a recent abscissa, or the final midpoint repeats
+   a probe — are always with the last few evaluations, and a fixed
+   window catches them at constant scan cost.  A hit and a
+   recomputation return the same float, so memo policy can never change
+   the result; the flat arrays keep the golden loop off the GC. *)
+let gamma_search ~golden_steps ~points ~grid ~golden ~lo ~hi =
+  let scan = Parallel.Grid.log_scan ~lo ~hi ~points grid in
   let win = 8 in
   (* NaN keys never match a (positive) probe, so empty slots are inert *)
   let mg = Array.make win Float.nan and mv = Array.make win 0. in
@@ -980,81 +703,67 @@ let gamma_search ~gamma_points ~grid_vals ~golden_eval ~lo ~hi =
     done;
     if !hit then !found
     else begin
-      let v = golden_eval gamma in
+      let v = golden gamma in
       mg.(!mw) <- gamma;
       mv.(!mw) <- v;
       mw := (!mw + 1) mod win;
       v
     end
   in
-  let center = grid.(!bi) in
-  let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
-  let gstar = golden_minimize fm a b 40 in
-  Float.min vals.(!bi) (fm gstar)
+  let center = scan.xs.(scan.best) in
+  let a = Float.max lo (center /. scan.ratio) and b = Float.min hi (center *. scan.ratio) in
+  let gstar = golden_minimize fm a b golden_steps in
+  Float.min scan.values.(scan.best) (fm gstar)
 
-(* --------------------------------------------------------------- *)
-(* Batched gamma-grid evaluation                                     *)
+let backlog_bound ?(gamma_points = 40) ~epsilon p =
+  with_gamma_range ~who:"E2e.backlog_bound" ~epsilon (gamma_max p) @@ fun ~lo ~hi ->
+  Telemetry.span "e2e.backlog_gamma_search"
+    ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
+  @@ fun () ->
+  let f gamma =
+    if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+    let sigma = sigma_for p ~gamma ~epsilon in
+    backlog_given p ~gamma ~sigma
+  in
+  (* grid points fan out on the default pool; curve construction
+     dominates each evaluation, hence the h^3 hint *)
+  let h = hop_count p in
+  let scan =
+    Parallel.Grid.log_scan ~lo ~hi ~points:gamma_points
+      (Parallel.Grid.values ~work:((32 * h * h * h) + 200) f)
+  in
+  scan.values.(scan.best)
 
-(* Grid scans run through {!Batch} in contiguous blocks: one compiled
-   batch per block amortizes [Kernel.make] over [batch_block] points and
-   warm-starts the candidate sort across adjacent gammas, while the
-   per-task [?work] hint ([eval_cost] x block) shows the pool the true
-   per-chunk cost, so the sequential-vs-parallel decision matches the
-   per-point fan-out.  The per-point path is retained behind
-   [set_grid_batching false]: it is the differential oracle for the
-   QCheck equivalence pins and the unbatched side of the bench figure
-   sections.  Both paths are bit-identical point for point, so the
-   toggle can never change a published number. *)
-let grid_batching_on = ref true
-let set_grid_batching b = grid_batching_on := b
-let grid_batching () = !grid_batching_on
-
-(* 4 blocks over the default 40-point gamma grid: enough tasks to feed
-   a small pool when the grid fans out, rows long enough that the
-   amortized compile and the warm start pay when it does not *)
-let batch_block = 10
+(* Grid scans run through {!Kernel} in contiguous blocks: one compiled
+   kernel per block amortizes [Kernel.make] over [grid_block] points,
+   while the per-task [?work] hint ([eval_cost] x block) shows the pool
+   the true per-chunk cost, so the sequential-vs-parallel decision
+   matches a per-point fan-out.  4 blocks over the default 40-point
+   grid: enough tasks to feed a small pool. *)
+let grid_block = 10
 
 let delay_grid ~epsilon p gammas =
   if !Telemetry.on then Telemetry.Counter.add c_gamma_evals (Array.length gammas);
-  if !grid_batching_on then
-    Parallel.Grid.values_blocked ~work:(eval_cost p) ~block:batch_block
-      (fun block ->
-        let bt = Batch.make p in
-        let out = Array.make (Array.length block) 0. in
-        Batch.run_gammas bt ~epsilon ~gammas:block ~out;
-        out)
-      gammas
-  else
-    Parallel.Grid.values ~work:(eval_cost p)
-      (fun gamma -> delay_at_gamma p ~gamma ~epsilon)
-      gammas
+  Parallel.Grid.values_blocked ~work:(eval_cost p) ~block:grid_block
+    (fun block ->
+      let k = Kernel.make p in
+      let out = Array.make (Array.length block) 0. in
+      Kernel.run_gammas k ~epsilon ~gammas:block ~out;
+      out)
+    gammas
 
 let delay_bound ?(gamma_points = 40) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "e2e.gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
-    @@ fun () ->
-  begin
-    let golden_eval =
-      if !grid_batching_on then begin
-        let bt = Batch.make p in
-        fun gamma ->
-          if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-          Batch.delay_at_gamma bt ~gamma ~epsilon
-      end
-      else begin
-        let kern = Kernel.make p in
-        fun gamma ->
-          if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-          Kernel.delay_at_gamma kern ~gamma ~epsilon
-      end
-    in
-    gamma_search ~gamma_points ~grid_vals:(delay_grid ~epsilon p) ~golden_eval
-      ~lo:(gmax *. 1e-6) ~hi:(gmax *. 0.999)
-  end
+  with_gamma_range ~who:"E2e.delay_bound" ~epsilon (gamma_max p) @@ fun ~lo ~hi ->
+  Telemetry.span "e2e.gamma_search"
+    ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
+  @@ fun () ->
+  let k = Kernel.make p in
+  let golden gamma =
+    if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+    Kernel.delay_at_gamma k ~gamma ~epsilon
+  in
+  gamma_search ~golden_steps:40 ~points:gamma_points ~grid:(delay_grid ~epsilon p)
+    ~golden ~lo ~hi
 
 (* --------------------------------------------------------------- *)
 (* Closed forms and the paper's explicit K-procedure                 *)
@@ -1085,8 +794,8 @@ let bmux_closed_form p ~gamma ~sigma =
    One O(H) backward pass materializes every suffix sum: the recursion
    [suffix_sum k = term k +. suffix_sum (k+1)] associates to the right,
    and the backward fill below performs the same additions in the same
-   order, so each [suffix.(k)] is bit-identical to the
-   [Reference.smallest_k] recomputation (pinned by a test up to H = 10^3). *)
+   order, so each [suffix.(k)] is bit-identical to the recursive
+   recomputation (pinned against the test oracle up to H = 10^3). *)
 let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
   let term k =
     (c -. rho_c -. (float_of_int k *. gamma))
@@ -1187,67 +896,37 @@ let delay_given_fast p ~gamma ~sigma =
   else delay_given p ~gamma ~sigma
 
 let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "E2e.delay_bound_fast: epsilon out of range";
   if not (is_homogeneous p) then delay_bound ~gamma_points ~epsilon p
-  else begin
-    let gmax = gamma_max p in
-    if gmax <= 0. then Float.infinity
-    else
-      Telemetry.span "e2e.gamma_search_fast"
-        ~attrs:
-          [ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
-      @@ fun () ->
-    begin
-      (* [Kernel.sigma_for] only reads immutable kernel state, so one
-         kernel serves the parallel grid and the golden phase alike. *)
-      let kern = Kernel.make p in
-      let f gamma =
-        if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-        let sigma = Kernel.sigma_for kern ~gamma ~epsilon in
-        k_procedure p ~gamma ~sigma
-      in
-      let h = hop_count p in
-      (* the K-procedure has no per-point compile to amortize, so the
-         grid stays a per-point fan-out *)
-      gamma_search ~gamma_points
-        ~grid_vals:(Parallel.Grid.values ~work:((8 * h) + 50) f)
-        ~golden_eval:f ~lo:(gmax *. 1e-6) ~hi:(gmax *. 0.999)
-    end
-  end
-
-(* The serving hot path: gamma search over a caller-retained batch.  The
-   batch's [set_row]/[set_sigma]/[delay] scratch state is mutable, so
-   everything stays on the calling domain — no [Parallel.Grid] fan-out,
-   no [Kernel.make].  The grid walks gammas in log-spaced order, so the
-   warm-started candidate sort sees almost-sorted buffers throughout.
-   Soundness does not depend on finding the optimum: every probed gamma
-   yields a valid Eq.-38 bound, so a coarse grid only costs tightness. *)
-let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "E2e.delay_bound_cached: epsilon out of range";
-  if gamma_points < 2 then invalid_arg "E2e.delay_bound_cached: gamma_points < 2";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else begin
+  else
+    with_gamma_range ~who:"E2e.delay_bound_fast" ~epsilon (gamma_max p) @@ fun ~lo ~hi ->
+    Telemetry.span "e2e.gamma_search_fast"
+      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
+    @@ fun () ->
+    (* [Kernel.sigma_for] only reads immutable kernel state, so one
+       kernel serves the parallel grid and the golden phase alike. *)
+    let kern = Kernel.make p in
     let f gamma =
       if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      Batch.delay_at_gamma batch ~gamma ~epsilon
+      let sigma = Kernel.sigma_for kern ~gamma ~epsilon in
+      k_procedure p ~gamma ~sigma
     in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    let best = ref Float.infinity in
-    let g = ref lo in
-    let center = ref lo in
-    for _ = 0 to gamma_points - 1 do
-      let v = f !g in
-      if v < !best then begin
-        best := v;
-        center := !g
-      end;
-      g := !g *. ratio
-    done;
-    let a = Float.max lo (!center /. ratio) and b = Float.min hi (!center *. ratio) in
-    let gstar = golden_minimize f a b 20 in
-    Float.min !best (f gstar)
-  end
+    let h = hop_count p in
+    (* the K-procedure has no per-point compile to amortize, so the grid
+       stays a per-point fan-out *)
+    gamma_search ~golden_steps:40 ~points:gamma_points
+      ~grid:(Parallel.Grid.values ~work:((8 * h) + 50) f)
+      ~golden:f ~lo ~hi
+
+(* The serving hot path: gamma search over a caller-retained kernel.  The
+   kernel's scratch state is mutable, so everything stays on the calling
+   domain — no [Parallel.Grid] fan-out, no [Kernel.make].  Soundness does
+   not depend on finding the optimum: every probed gamma yields a valid
+   Eq.-38 bound, so a coarse grid only costs tightness. *)
+let delay_bound_cached ?(gamma_points = 12) ~kernel ~epsilon p =
+  if gamma_points < 2 then invalid_arg "E2e.delay_bound_cached: gamma_points < 2";
+  with_gamma_range ~who:"E2e.delay_bound_cached" ~epsilon (gamma_max p) @@ fun ~lo ~hi ->
+  let f gamma =
+    if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+    Kernel.delay_at_gamma kernel ~gamma ~epsilon
+  in
+  gamma_search ~golden_steps:20 ~points:gamma_points ~grid:(Array.map f) ~golden:f ~lo ~hi

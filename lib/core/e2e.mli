@@ -59,17 +59,29 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
     0-indexed node [h] given [X = x]; [infinity] when node [h]'s constraint
     is infeasible at every [theta]. *)
 
-(** The compiled zero-allocation Eq.-38 solver.
+val objective : path -> gamma:float -> sigma:float -> float -> float
+(** [objective p ~gamma ~sigma x] — the Eq.-38 objective
+    [x +. sum_h theta_of_x h] at [X = x] (list form, no telemetry). *)
+
+val x_candidates : path -> gamma:float -> sigma:float -> float list
+(** The kink abscissae of [X -> objective X] (plus [0.]), sorted and
+    deduplicated: the objective's minimum over [X >= 0.] is attained at
+    one of them. *)
+
+(** The compiled zero-allocation Eq.-38 solver — the one evaluator
+    behind every delay search.
 
     [make] flattens a path into plain float/int arrays once; [set]
     compiles the per-node constants ([c_h], [margin_h], clipped-∆ case
     tags) for one [(gamma, sigma)] and writes the candidate abscissae
-    into a reusable scratch buffer sorted in place; [delay] /
-    [optimal_thetas] then evaluate the objective with no allocation and
-    no variant matching in the inner loop.  Every float expression
-    mirrors the list-based reference operation for operation, so results
-    are {b bit-identical} to {!Reference.delay_given} /
-    {!Reference.sigma_for} (pinned by QCheck).
+    into a reusable scratch buffer sorted in place; [delay] then folds
+    the objective node-major over a preallocated accumulator row with
+    no allocation and no variant matching.  Every float expression
+    mirrors {!x_candidates} / {!objective} / {!sigma_for} operation for
+    operation, so results are {b bit-identical} to the list forms
+    (pinned by QCheck against the oracle in test/oracle).  [set],
+    [delay], [sigma_for], [delay_at_gamma] and [run_gammas] are
+    allocation-free (enforced by the zero_alloc analyzer).
 
     Concurrency: [set]/[delay]/[optimal_thetas] mutate the kernel, so a
     kernel must be driven from one domain at a time; {!Kernel.sigma_for}
@@ -83,9 +95,6 @@ module Kernel : sig
   (** Compile the solver state for [(gamma, sigma)], overwriting any
       previous state. *)
 
-  val candidate_count : t -> int
-  (** Number of (unique, sorted) candidate abscissae after {!set}. *)
-
   val delay : t -> float
   (** {!delay_given} over the compiled state. *)
 
@@ -94,108 +103,16 @@ module Kernel : sig
 
   val sigma_for : t -> gamma:float -> epsilon:float -> float
   (** {!sigma_for} with the shared-decay geometric sums folded into one
-      exp / a handful of logs; bit-identical to the reference. *)
+      exp / a handful of logs; bit-identical to the list form. *)
 
   val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
   (** [sigma_for] then [set] then [delay], reusing the scratch state. *)
-end
-
-(** {1 Batched structure-of-arrays panel evaluation}
-
-    {!Batch} evaluates whole γ×s panels of Eq.-38 delays over the flat
-    arrays of one compiled {!Kernel}: [Kernel.set] is split into a
-    γ-dependent row compile ({!Batch.set_row}) and a σ-dependent point
-    compile ({!Batch.set_sigma}) so a row of abscissae shares one
-    compile, the candidate sort warm-starts from the previous point's
-    sorted permutation (adjacent grid points present almost-sorted
-    buffers), and the delay fold sweeps node-major so each node's case
-    dispatch and constants are shared across the whole candidate row.
-    Results are {b bit-identical} to
-    {!Kernel} and {!Reference} — the QCheck suite pins all three on
-    random panels — and the hot loop is allocation-free (enforced by the
-    [zero_alloc] analyzer), writing into caller-provided buffers.
-
-    Concurrency: like {!Kernel}, a batch mutates its scratch state and
-    must be driven from one domain at a time; build one batch per worker
-    (as [delay_grid]'s block driver does). *)
-module Batch : sig
-  type t
-
-  val make : path -> t
-  (** Compile the path once ({!Kernel.make}) plus the panel scratch. *)
-
-  val kernel : t -> Kernel.t
-  (** The underlying kernel — e.g. for {!Kernel.sigma_for} or for
-      inspecting the compiled state after a point evaluation. *)
-
-  val set_row : t -> gamma:float -> unit
-  (** The γ-dependent half of {!Kernel.set}: per-node constants and
-      case tags.  Valid until the next [set_row]. *)
-
-  val set_sigma : t -> sigma:float -> unit
-  (** The σ-dependent half: sigma ratios and the sorted candidate
-      abscissae for the current row.  Requires a preceding
-      {!set_row}. *)
-
-  val delay : t -> float
-  (** {!Kernel.delay} over the compiled point, with the candidate/node
-      loops interchanged (bit-identical; one case dispatch per node
-      instead of per (candidate, node) pair). *)
-
-  val delay_given_at : t -> gamma:float -> sigma:float -> float
-  (** [set_row]; [set_sigma]; [delay] — one (γ, σ) point. *)
-
-  val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
-  (** [sigma_for] then one point — the batched {!Kernel.delay_at_gamma}. *)
 
   val run_gammas :
     t -> epsilon:float -> gammas:float array -> out:float array -> unit
-  (** One γ-row at a fixed [epsilon]: [out.(i)] receives the Eq.-38
-      delay at [gammas.(i)] (with [sigma = sigma_for gamma]).
-      Allocation-free.  @raise Invalid_argument if [out] is shorter
-      than [gammas]. *)
-
-  val run_points :
-    t -> gammas:float array -> sigmas:float array -> out:float array -> unit
-  (** Paired points: [out.(i) <- delay(gammas.(i), sigmas.(i))].
-      Allocation-free.  @raise Invalid_argument on arity mismatch or a
-      short output buffer. *)
-
-  val run_panel :
-    t -> gammas:float array -> sigmas:float array -> out:float array -> unit
-  (** The full γ×s panel, row-major: [out.(i * ns + j) <-
-      delay(gammas.(i), sigmas.(j))], compiling each γ row once.
-      Allocation-free.  @raise Invalid_argument if [out] is shorter
-      than the panel. *)
-end
-
-val set_grid_batching : bool -> unit
-(** Route the γ-grid scans of {!delay_bound} (and everything built on
-    it: Scenario, Additive s-grids, Scaling, serve) through {!Batch}
-    ([true], the default) or the retained per-point {!Kernel} path
-    ([false]).  Both paths are bit-identical point for point — the
-    toggle exists for differential tests and for benchmarking the
-    unbatched path, never to change results. *)
-
-val grid_batching : unit -> bool
-
-val delay_grid : epsilon:float -> path -> float array -> float array
-(** Evaluate {!delay_at_gamma} over a whole γ grid: blocked {!Batch}
-    panels on the pool when batching is on (one compiled batch per
-    block of 10 points), the per-point fan-out otherwise.  Entry [i] is
-    bit-identical either way. *)
-
-(** The pre-kernel list-based solver, retained verbatim as the oracle
-    for the QCheck bit-for-bit equivalence suite and the baseline side
-    of the ns/op benchmarks. *)
-module Reference : sig
-  val delay_given : path -> gamma:float -> sigma:float -> float
-  val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
-  val sigma_for : path -> gamma:float -> epsilon:float -> float
-
-  val smallest_k :
-    extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
-  (** The O(H^2) recursive suffix-sum version of {!smallest_k}. *)
+  (** One γ row at a fixed [epsilon]: [out.(i)] receives
+      [delay_at_gamma gammas.(i)].
+      @raise Invalid_argument if [out] is shorter than [gammas]. *)
 end
 
 val delay_given : path -> gamma:float -> sigma:float -> float
@@ -234,7 +151,8 @@ val backlog_given : path -> gamma:float -> sigma:float -> float
 
 val backlog_bound : ?gamma_points:int -> epsilon:float -> path -> float
 (** Probabilistic end-to-end backlog bound
-    [P (B > backlog_bound) <= epsilon], optimized over [gamma]. *)
+    [P (B > backlog_bound) <= epsilon], minimized over a log grid of
+    [gamma].  @raise Invalid_argument unless [0 < epsilon < 1]. *)
 
 val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 (** The minimizing [(thetas, X)] of Eq. (38) — the witness behind
@@ -243,7 +161,20 @@ val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 val delay_bound : ?gamma_points:int -> epsilon:float -> path -> float
 (** End-to-end delay bound with numerical optimization over [gamma]
     (coarse grid plus golden-section refinement), as prescribed by the
-    paper.  [infinity] when the path is overloaded. *)
+    paper.  [infinity] when the path is overloaded.  The grid is
+    evaluated in blocks of 10 points, one compiled {!Kernel} per block,
+    on the default pool.
+    @raise Invalid_argument unless [0 < epsilon < 1]. *)
+
+val with_gamma_range :
+  who:string -> epsilon:float -> float -> (lo:float -> hi:float -> float) -> float
+(** [with_gamma_range ~who ~epsilon gmax search] is the shared entry of
+    every gamma search, in this module, {!Additive} and {!Multiclass}:
+    it rejects
+    [epsilon] outside (0, 1), NaN included, with
+    [Invalid_argument (who ^ ": epsilon out of range")], returns
+    [infinity] when [gmax <= 0.] (an overloaded path), and otherwise runs
+    [search] over [[gmax *. 1e-6, gmax *. 0.999]]. *)
 
 (** {1 Closed forms and the paper's explicit procedure}
 
@@ -258,8 +189,8 @@ val smallest_k :
   extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
 (** Smallest [K] in [0..H] satisfying Eq. (40) (with the caller's extra
     feasibility predicate), via a single O(H) backward prefix sum whose
-    partial sums are bit-identical to {!Reference.smallest_k}'s
-    recursion. *)
+    partial sums are bit-identical to the O(H^2) recursion
+    [suffix_sum k = term k +. suffix_sum (k + 1)]. *)
 
 val bmux_closed_form : path -> gamma:float -> sigma:float -> float
 (** Eq. (43): [sigma /. (C -. rho_c -. H gamma)].
@@ -287,18 +218,23 @@ val delay_given_fast : path -> gamma:float -> sigma:float -> float
 val delay_bound_fast : ?gamma_points:int -> epsilon:float -> path -> float
 (** {!delay_bound} evaluated through {!delay_given_fast}: on homogeneous
     paths the whole gamma search costs O(H) per point instead of O(H^3).
-    Falls back to {!delay_bound} on heterogeneous paths. *)
+    Falls back to {!delay_bound} on heterogeneous paths.
+    @raise Invalid_argument unless [0 < epsilon < 1]. *)
 
-val delay_bound_cached : ?gamma_points:int -> batch:Batch.t -> epsilon:float -> path -> float
+val delay_bound_cached :
+  ?gamma_points:int -> kernel:Kernel.t -> epsilon:float -> path -> float
 (** The gamma optimization of {!delay_bound} driven entirely through a
-    caller-retained compiled batch: no [Kernel.make], no allocation in
-    the inner loop, no domain fan-out (the batch is mutable, so the whole
-    search runs on the calling domain; the log-spaced grid walk keeps
-    its warm-started candidate sort near-linear).  [batch] must have
-    been built with [Batch.make] from this same [path].  With the
-    default 12-point grid the search costs ~32 [delay_at_gamma]
-    evaluations — the serving hot path for repeat queries against a
-    cached shape.  Coarser than the 40-point {!delay_bound} grid, so the
-    result can exceed the optimum, but every probed [gamma] yields a
-    valid Eq.-38 bound, hence the returned value is always a sound (if
-    slightly loose) upper bound. *)
+    caller-retained compiled kernel: no [Kernel.make], no allocation in
+    the inner loop, no domain fan-out (the kernel is mutable, so the
+    whole search runs on the calling domain).  [kernel] must have been
+    built with [Kernel.make] from this same [path].  The grid is
+    followed by 20 golden-section steps (40 in {!delay_bound}); with the
+    default 12-point grid the search costs at most 12 + 41
+    [delay_at_gamma] evaluations (golden probes that repeat a recent
+    gamma are memoized) — the serving hot path for repeat queries
+    against a cached shape.  Coarser than the 40-point
+    {!delay_bound} grid, so the result can exceed the optimum, but every
+    probed [gamma] yields a valid Eq.-38 bound, hence the returned value
+    is always a sound (if slightly loose) upper bound.
+    @raise Invalid_argument if [gamma_points < 2] or unless
+    [0 < epsilon < 1]. *)

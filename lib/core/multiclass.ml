@@ -166,26 +166,13 @@ let delay_given p ~gamma ~sigma =
     (with_midpoints cands)
 
 let delay_bound ?(gamma_points = 40) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "Multiclass.delay_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else begin
-    let f gamma =
-      let sigma = sigma_for p ~gamma ~epsilon in
-      delay_given p ~gamma ~sigma
-    in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    let best = ref (f lo) in
-    let g = ref lo in
-    for _ = 2 to gamma_points do
-      g := !g *. ratio;
-      let v = f !g in
-      if v < !best then best := v
-    done;
-    !best
-  end
+  E2e.with_gamma_range ~who:"Multiclass.delay_bound" ~epsilon (gamma_max p) @@ fun ~lo ~hi ->
+  let f gamma =
+    let sigma = sigma_for p ~gamma ~epsilon in
+    delay_given p ~gamma ~sigma
+  in
+  let scan = Parallel.Grid.log_scan ~lo ~hi ~points:gamma_points (Array.map f) in
+  scan.values.(scan.best)
 
 let of_two_class (p : E2e.path) =
   let nd0 = p.E2e.nodes.(0) in

@@ -53,27 +53,34 @@ let path_at t ~s ~delta =
   let cross = Envelope.Mmpp.ebb t.source ~n:t.n_cross ~s in
   E2e.homogeneous ~h:t.h ~capacity:t.capacity ~cross ~delta ~through
 
-(* Largest s keeping the path stable: total effective bandwidth (plus head
-   room for gamma) below capacity.  eb is increasing in s, so bisect. *)
-let s_stable_max t =
-  let stable s =
-    let eb = Envelope.Mmpp.effective_bandwidth t.source ~s in
-    ((t.n_through +. t.n_cross) *. eb) < t.capacity *. 0.9999
-  in
-  if not (stable 1e-6) then None
+let s_stable t s =
+  let eb = Envelope.Mmpp.effective_bandwidth t.source ~s in
+  ((t.n_through +. t.n_cross) *. eb) < t.capacity *. 0.9999
+
+(* Upper end of the stable-s bracket: double s from 1e-6 until the path
+   (with head room for gamma) turns unstable, at most 60 times. *)
+let s_bracket t =
+  if not (s_stable t 1e-6) then None
   else begin
     let rec grow hi tries =
-      if tries = 0 then hi else if stable hi then grow (2. *. hi) (tries - 1) else hi
+      if tries = 0 then hi else if s_stable t hi then grow (2. *. hi) (tries - 1) else hi
     in
-    let hi = grow 1e-6 60 in
-    let rec bisect lo hi n =
-      if n = 0 then lo
-      else
-        let mid = sqrt (lo *. hi) in
-        if stable mid then bisect mid hi (n - 1) else bisect lo mid (n - 1)
-    in
-    Some (bisect 1e-6 hi 60)
+    Some (grow 1e-6 60)
   end
+
+(* Largest s keeping the path stable: total effective bandwidth is
+   increasing in s, so bisect inside the bracket. *)
+let s_stable_max t =
+  Option.map
+    (fun hi ->
+      let rec bisect lo hi n =
+        if n = 0 then lo
+        else
+          let mid = sqrt (lo *. hi) in
+          if s_stable t mid then bisect mid hi (n - 1) else bisect lo mid (n - 1)
+      in
+      bisect 1e-6 hi 60)
+    (s_bracket t)
 
 (* Minimize [f s] over the stable range of the effective-bandwidth
    parameter: log grid plus a local geometric refinement.  Returns the
@@ -95,41 +102,33 @@ let minimize_over_s_checked ~s_points t f =
        mutating shared refs from worker domains.  The totals are identical
        to the old per-call counting: one eval per grid point. *)
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
     (* each s-point runs a full inner gamma search (~40 grid + golden
-       evaluations, each ~E2e.eval_cost node-steps — the grid half now
-       evaluated as E2e.Batch panels): the per-point [?work] hint lets
-       tiny scenarios (H = 2, few points) skip domain fan-out, and the
-       blocked scan hands the pool tasks of 4 s-points so its hint is
-       the true per-chunk cost.  Blocks preserve index order, so the
-       argmin folds below are unchanged bit for bit. *)
+       evaluations, each ~E2e.eval_cost node-steps): the per-point
+       [?work] hint lets tiny scenarios (H = 2, few points) skip domain
+       fan-out, and the blocked scan hands the pool tasks of 4 s-points
+       so its hint is the true per-chunk cost.  Blocks preserve index
+       order, so the argmins below do not depend on the jobs setting. *)
     let s_work = 120 * ((3 * t.h * t.h) + (8 * t.h) + 50) in
     let eval_grid g =
       Parallel.Grid.values_blocked ~work:s_work ~block:4 (Array.map f) g
     in
-    let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points in
-    let vals = eval_grid grid in
-    let best = ref (grid.(0), vals.(0)) in
-    for i = 1 to s_points - 1 do
-      if vals.(i) < snd !best then best := (grid.(i), vals.(i))
-    done;
-    let center = fst !best in
-    let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
+    let coarse = Parallel.Grid.log_scan ~lo ~hi ~points:s_points eval_grid in
+    let center = coarse.xs.(coarse.best) in
+    let a = Float.max lo (center /. coarse.ratio)
+    and b = Float.min hi (center *. coarse.ratio) in
     let refine_points = 12 in
-    let rr = (b /. a) ** (1. /. float_of_int (refine_points - 1)) in
-    let rgrid = Parallel.Grid.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
-    let rvals = eval_grid rgrid in
-    let sbest = ref (snd !best) in
-    for i = 0 to refine_points - 1 do
-      if rvals.(i) < !sbest then sbest := rvals.(i)
-    done;
+    let fine = Parallel.Grid.log_scan ~lo:a ~hi:b ~points:refine_points eval_grid in
+    let coarse_best = coarse.values.(coarse.best) in
+    let fine_best = fine.values.(fine.best) in
+    let sbest = if fine_best < coarse_best then fine_best else coarse_best in
     let evals = s_points + refine_points in
     let nan_seen =
-      Array.exists Float.is_nan vals || Array.exists Float.is_nan rvals
+      Array.exists Float.is_nan coarse.values
+      || Array.exists Float.is_nan fine.values
     in
     let status =
-      if nan_seen || Float.is_nan !sbest then Diag.Non_finite
-      else if Float.is_finite !sbest then Diag.Converged
+      if nan_seen || Float.is_nan sbest then Diag.Non_finite
+      else if Float.is_finite sbest then Diag.Converged
       else Diag.Unstable
     in
     Telemetry.Counter.add c_s_evals evals;
@@ -138,9 +137,9 @@ let minimize_over_s_checked ~s_points t f =
         [
           ("evals", Telemetry.Int evals);
           ("status", Telemetry.Str (Diag.status_to_string status));
-          ("best", Telemetry.Float !sbest);
+          ("best", Telemetry.Float sbest);
         ];
-    Diag.outcome ~iterations:evals status !sbest
+    Diag.outcome ~iterations:evals status sbest
 
 let delay_bound_checked ?(s_points = 32) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in

@@ -37,6 +37,13 @@ val utilization : t -> float
 val path_at : t -> s:float -> delta:Scheduler.Delta.t -> E2e.path
 (** The {!E2e.path} for a given effective-bandwidth parameter [s]. *)
 
+val s_bracket : t -> float option
+(** Upper end of the stable-[s] bracket: the first doubling
+    [1e-6 *. 2^k] at which the offered load (with head room for [gamma])
+    is no longer below capacity ([1e-6 *. 2^60] if none is), or [None]
+    when even [s = 1e-6] is unstable.  {!s_stable_max} bisects below
+    it. *)
+
 val s_stable_max : t -> float option
 (** Largest effective-bandwidth parameter [s] keeping the offered load
     (with head room for [gamma]) below capacity, or [None] when even a

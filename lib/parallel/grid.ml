@@ -29,20 +29,16 @@ let values_blocked ?work ~block f xs =
     end
   end
 
-let min_value ?work f xs =
-  if Array.length xs = 0 then invalid_arg "Parallel.Grid.min_value: empty grid";
-  let vals = Default.map ?work f xs in
-  let best = ref vals.(0) in
-  for i = 1 to Array.length vals - 1 do
-    if vals.(i) < !best then best := vals.(i)
-  done;
-  !best
+type scan = { ratio : float; xs : float array; values : float array; best : int }
 
-let argmin ?work f xs =
-  if Array.length xs = 0 then invalid_arg "Parallel.Grid.argmin: empty grid";
-  let vals = Default.map ?work f xs in
-  let best = ref (xs.(0), vals.(0)) in
-  for i = 1 to Array.length vals - 1 do
-    if vals.(i) < snd !best then best := (xs.(i), vals.(i))
+let log_scan ~lo ~hi ~points eval =
+  let ratio = (hi /. lo) ** (1. /. float_of_int (points - 1)) in
+  let xs = log_spaced ~lo ~ratio ~points in
+  let values = eval xs in
+  if Array.length values <> points then
+    invalid_arg "Parallel.Grid.log_scan: eval returned the wrong number of values";
+  let best = ref 0 in
+  for i = 1 to points - 1 do
+    if values.(i) < values.(!best) then best := i
   done;
-  !best
+  { ratio; xs; values; best = !best }

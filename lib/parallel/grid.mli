@@ -16,17 +16,6 @@ val log_spaced : lo:float -> ratio:float -> points:int -> float array
     entries), by repeated multiplication.
     @raise Invalid_argument on [points < 1]. *)
 
-val min_value : ?work:int -> ('a -> float) -> 'a array -> float
-(** Parallel map, then the sequential running minimum
-    [if v < best then v] in index order, seeded with the first value.
-    [?work] is the per-point cost hint forwarded to {!Pool.map}.
-    @raise Invalid_argument on an empty grid. *)
-
-val argmin : ?work:int -> ('a -> float) -> 'a array -> 'a * float
-(** Like {!min_value} but keeps the abscissa of the first strict
-    minimum, matching [if v < snd best then (x, v)].
-    @raise Invalid_argument on an empty grid. *)
-
 val values : ?work:int -> ('a -> float) -> 'a array -> float array
 (** Just the parallel evaluations, in input order. *)
 
@@ -38,7 +27,31 @@ val values_blocked :
     whenever [f] is a pointwise map.  [?work] stays the {e per-point}
     cost hint; the pool sees [work * block] per task — the true
     per-chunk cost — so the sequential-vs-parallel decision matches the
-    per-point fan-out.  Built for batched evaluators ([E2e.Batch]) that
-    amortize compilation and warm-start scratch state across a block.
+    per-point fan-out.  Built for evaluators that amortize compilation
+    across a block ([E2e.Kernel], one compiled kernel per block).
     A single-block grid is evaluated directly on the calling domain.
     @raise Invalid_argument on [block < 1]. *)
+
+(** One log-grid search step: the abscissae, their values and the first
+    strict minimum. *)
+type scan = {
+  ratio : float;  (** [(hi /. lo) ** (1. /. float_of_int (points - 1))] *)
+  xs : float array;  (** [log_spaced ~lo ~ratio ~points] *)
+  values : float array;  (** [eval xs], one value per abscissa *)
+  best : int;
+      (** index of the first strict minimum: the running
+          [if values.(i) < values.(best) then best := i] in index order,
+          seeded with point 0 (so ties and NaNs resolve as in the
+          sequential scans this replaces) *)
+}
+
+val log_scan :
+  lo:float -> hi:float -> points:int -> (float array -> float array) -> scan
+(** [log_scan ~lo ~hi ~points eval] builds the log-spaced grid from [lo]
+    towards [hi], hands it whole to [eval] and folds the argmin on the
+    calling domain.  [eval] decides the parallelism — {!values},
+    {!values_blocked}, or a sequential [Array.map] when the evaluator
+    carries mutable scratch state — and the result is the same either
+    way.
+    @raise Invalid_argument on [points < 1] or when [eval] returns an
+    array whose length is not [points]. *)

@@ -51,7 +51,7 @@ let default_config =
 
 type entry = {
   e_path : E2e.path;
-  e_batch : E2e.Batch.t;
+  e_kernel : E2e.Kernel.t;
   mutable e_exact : float option;
   mutable e_approx : float option;
 }
@@ -184,7 +184,7 @@ let scenario_of (p : P.admit_params) =
   { sc with Scenario.epsilon = p.P.epsilon }
 
 (* Pin one effective-bandwidth parameter per shape: a coarse log scan of
-   the cheap closed-form bound picks the s the cached batch will serve
+   the cheap closed-form bound picks the s the cached kernel will serve
    at.  Any stable s is sound; the scan only buys tightness. *)
 let make_entry (p : P.admit_params) two_class =
   let sc = scenario_of p in
@@ -192,24 +192,15 @@ let make_entry (p : P.admit_params) two_class =
   match Scenario.s_stable_max sc with
   | None -> None
   | Some s_max ->
-    let points = 8 in
-    let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (points - 1)) in
-    let best = ref Float.infinity and s_best = ref lo in
-    let s = ref lo in
-    for _ = 0 to points - 1 do
-      let d =
-        E2e.delay_bound_fast ~gamma_points:8 ~epsilon:p.P.epsilon
-          (Scenario.path_at sc ~s:!s ~delta)
-      in
-      if d < !best then begin
-        best := d;
-        s_best := !s
-      end;
-      s := !s *. ratio
-    done;
-    let path = Scenario.path_at sc ~s:!s_best ~delta in
-    Some { e_path = path; e_batch = E2e.Batch.make path; e_exact = None; e_approx = None }
+    let bound_at s =
+      E2e.delay_bound_fast ~gamma_points:8 ~epsilon:p.P.epsilon (Scenario.path_at sc ~s ~delta)
+    in
+    let scan =
+      Parallel.Grid.log_scan ~lo:(s_max *. 1e-4) ~hi:(s_max *. 0.999) ~points:8
+        (Array.map bound_at)
+    in
+    let path = Scenario.path_at sc ~s:scan.xs.(scan.best) ~delta in
+    Some { e_path = path; e_kernel = E2e.Kernel.make path; e_exact = None; e_approx = None }
 
 (* ---------------- supervised per-request work ---------------- *)
 
@@ -248,7 +239,7 @@ let run_exact cfg (p : P.admit_params) two_class =
 let run_approx cfg entry (p : P.admit_params) =
   supervise (fun () ->
       let b =
-        E2e.delay_bound_cached ~gamma_points:cfg.gamma_points ~batch:entry.e_batch
+        E2e.delay_bound_cached ~gamma_points:cfg.gamma_points ~kernel:entry.e_kernel
           ~epsilon:p.P.epsilon entry.e_path
       in
       entry.e_approx <- Some b;
@@ -499,12 +490,12 @@ let handle_batch t lines =
   (* the cache maintains its own serve.cache.size gauge on mutation *)
   Telemetry.Gauge.set g_queue (float_of_int !compute_pending);
   (* exact jobs fan out on the default pool; each is pure (no cached
-     batch) and individually supervised, so a poisoned request comes
+     kernel) and individually supervised, so a poisoned request comes
      back as a value and the pool survives.  Inside each job the nested
-     gamma grids evaluate as E2e.Batch panels on the calling worker (the
-     pool degrades nested maps to sequential), one compiled batch per
-     grid block.  The large work hint reflects the true cost: a full
-     s-grid optimization per job. *)
+     gamma grids run on the calling worker (the pool degrades nested
+     maps to sequential), one compiled E2e.Kernel per grid block.  The
+     large work hint reflects the true cost: a full s-grid optimization
+     per job. *)
   let exact_jobs =
     List.filter_map (function Exact j -> Some j | _ -> None) plans |> Array.of_list
   in

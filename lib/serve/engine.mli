@@ -5,7 +5,7 @@
     shape (hops, utilizations, epsilon, scheduler — and, for EDF, the
     deadline-anchored gap).  A cache entry pins one effective-bandwidth
     parameter [s] (chosen once by a coarse scan when the shape is first
-    seen) and keeps the compiled {!E2e.Batch} plus memoized bounds, so a
+    seen) and keeps the compiled {!E2e.Kernel} plus memoized bounds, so a
     repeat query is a hash lookup and a float compare — the 10⁵+/s hot
     path.
 
@@ -15,7 +15,7 @@
     + memoized bound — free;
     + [exact]: the full s+gamma optimization
       ({!Admission.decide} / {!Scenario.delay_bound_checked});
-    + [approx]: {!E2e.delay_bound_cached} on the cached batch at the
+    + [approx]: {!E2e.delay_bound_cached} on the cached kernel at the
       pinned [s] — a sound but looser upper bound, so degraded answers
       may refuse an admissible flow but never wrongly admit;
     + [timeout]: a typed response when even the degraded path missed the

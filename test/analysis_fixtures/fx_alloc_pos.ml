@@ -23,9 +23,9 @@ let helper n = Array.make n 0
 
 let via_helper n = helper (n + 1) [@@zero_alloc_check]
 
-(* A Batch-style panel row that allocates its accumulator per call
-   instead of reusing a preallocated scratch row — the shape the
-   [E2e.Batch.delay] gate exists to forbid.  Must fire. *)
+(* A candidate row that allocates its accumulator per call instead of
+   reusing a preallocated scratch row — the shape the
+   [E2e.Kernel.delay] gate exists to forbid.  Must fire. *)
 let panel_row cand n =
   let acc = Array.make n 0. in
   for j = 0 to n - 1 do

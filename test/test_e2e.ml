@@ -5,6 +5,7 @@
 module E2e = Deltanet.E2e
 module Scenario = Deltanet.Scenario
 module Additive = Deltanet.Additive
+module Multiclass = Deltanet.Multiclass
 module Delta = Scheduler.Delta
 module Classes = Scheduler.Classes
 module Ebb = Envelope.Ebb
@@ -402,170 +403,76 @@ let path_arb =
   in
   QCheck.make ~print gen
 
-(* The tentpole's contract: the compiled zero-allocation kernel replays
-   the list-based reference float-for-float, so sigma_for, delay_given
-   and optimal_thetas (thetas and X) are bit-identical — for every
-   scheduler mix and every H.  [delay_given] (the kernel-backed public
-   entry) must agree too. *)
-let prop_kernel_matches_reference =
-  QCheck.Test.make ~name:"kernel = reference bit-for-bit (Eq. 38)" ~count:(Qc.count 400) path_arb
-    (fun (p, u, extra) ->
-      let gamma = E2e.gamma_max p *. u in
-      let k = E2e.Kernel.make p in
-      let sref = E2e.Reference.sigma_for p ~gamma ~epsilon:1e-9 in
-      let sker = E2e.Kernel.sigma_for k ~gamma ~epsilon:1e-9 in
-      if not (bit_eq sref sker) then
-        QCheck.Test.fail_reportf "sigma_for: reference %.17g kernel %.17g" sref sker;
-      let sigma = sref +. extra in
-      let dref = E2e.Reference.delay_given p ~gamma ~sigma in
-      E2e.Kernel.set k ~gamma ~sigma;
-      let dker = E2e.Kernel.delay k in
-      if not (bit_eq dref dker) then
-        QCheck.Test.fail_reportf "delay: reference %.17g kernel %.17g" dref dker;
-      if not (bit_eq dref (E2e.delay_given p ~gamma ~sigma)) then
-        QCheck.Test.fail_reportf "public delay_given diverges from reference";
-      let (tref, xref) = E2e.Reference.optimal_thetas p ~gamma ~sigma in
-      let (tker, xker) = E2e.Kernel.optimal_thetas k in
-      if not (bit_eq xref xker) then
-        QCheck.Test.fail_reportf "optimal X: reference %.17g kernel %.17g" xref xker;
-      if Array.length tref <> Array.length tker then
-        QCheck.Test.fail_reportf "theta arity: %d vs %d" (Array.length tref)
-          (Array.length tker);
-      Array.iteri
-        (fun i v ->
-          if not (bit_eq v tker.(i)) then
-            QCheck.Test.fail_reportf "theta %d: reference %.17g kernel %.17g" i v
-              tker.(i))
-        tref;
-      true)
-
-(* ---------------- batch vs kernel vs reference ---------------- *)
-
-(* A path plus unsorted γ fractions and σ values: panels are allowed to
-   be non-monotone in both axes, so the warm-started candidate sort sees
-   adversarial orders, not just smooth sweeps. *)
-let panel_arb =
+(* A random mixed-∆ path plus a sequence of (γ fraction, σ offset)
+   points, unsorted in both coordinates: one kernel is reused across the
+   whole sequence, so [set] must fully overwrite whatever the previous,
+   arbitrarily different point left in the scratch arrays. *)
+let kernel_arb =
   let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
   let gen =
     QCheck.Gen.(
       int_range 1 20 >>= fun h ->
       array_repeat h node_gen >>= fun nodes ->
-      list_size (int_range 1 5) (float_range 1e-4 0.95) >>= fun us ->
-      list_size (int_range 1 5) (float_range 0. 500.) >>= fun sigmas ->
-      return ({ E2e.nodes; through }, us, sigmas))
+      list_size (int_range 1 6) (pair (float_range 1e-4 0.95) (float_range 0. 500.))
+      >>= fun pts -> return ({ E2e.nodes; through }, pts))
   in
-  let print (p, us, sigmas) =
-    Fmt.str "H=%d us=[%s] sigmas=[%s] nodes=[%s]"
+  let print (p, pts) =
+    Fmt.str "H=%d points=[%s] nodes=[%s]"
       (Array.length p.E2e.nodes)
-      (String.concat "; " (List.map (Fmt.str "%g") us))
-      (String.concat "; " (List.map (Fmt.str "%g") sigmas))
+      (String.concat "; " (List.map (fun (u, x) -> Fmt.str "(%g, %g)" u x) pts))
       (String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes)))
   in
   QCheck.make ~print gen
 
-(* The panel evaluator's contract: every Batch entry point — full
-   panels, single-row and single-column panels, paired diagonal points,
-   γ-rows with [sigma_for] — replays [Kernel] and [Reference] bit for
-   bit.  One batch is reused across every shape, so the warm-start
-   permutation goes stale in arity and order between calls; the empty
-   panel must be a no-op, not an error. *)
-let prop_batch_matches_kernel =
-  QCheck.Test.make ~name:"batch = kernel = reference bit-for-bit (panels)"
-    ~count:(Qc.count 300) panel_arb
-    (fun (p, us, sigmas) ->
-      let gmax = E2e.gamma_max p in
-      let gammas = Array.of_list (List.map (fun u -> gmax *. u) us) in
-      let sigmas = Array.of_list sigmas in
-      let bt = E2e.Batch.make p in
-      let k = E2e.Kernel.make p in
-      let ng = Array.length gammas and ns = Array.length sigmas in
-      let out = Array.make (ng * ns) Float.nan in
-      E2e.Batch.run_panel bt ~gammas ~sigmas ~out;
-      for i = 0 to ng - 1 do
-        for j = 0 to ns - 1 do
-          let gamma = gammas.(i) and sigma = sigmas.(j) in
-          E2e.Kernel.set k ~gamma ~sigma;
-          let dk = E2e.Kernel.delay k in
-          if not (bit_eq out.((i * ns) + j) dk) then
-            QCheck.Test.fail_reportf "panel (%d,%d): batch %.17g kernel %.17g" i j
-              out.((i * ns) + j)
-              dk;
-          let dr = E2e.Reference.delay_given p ~gamma ~sigma in
-          if not (bit_eq dk dr) then
-            QCheck.Test.fail_reportf "panel (%d,%d): kernel %.17g reference %.17g" i
-              j dk dr
-        done
-      done;
-      let row = Array.make ns Float.nan in
-      E2e.Batch.run_panel bt ~gammas:[| gammas.(0) |] ~sigmas ~out:row;
-      for j = 0 to ns - 1 do
-        if not (bit_eq row.(j) out.(j)) then
-          QCheck.Test.fail_reportf "single-row panel diverges at %d" j
-      done;
-      let col = Array.make ng Float.nan in
-      E2e.Batch.run_panel bt ~gammas ~sigmas:[| sigmas.(0) |] ~out:col;
-      for i = 0 to ng - 1 do
-        if not (bit_eq col.(i) out.(i * ns)) then
-          QCheck.Test.fail_reportf "single-column panel diverges at %d" i
-      done;
-      E2e.Batch.run_panel bt ~gammas:[||] ~sigmas ~out:[||];
-      E2e.Batch.run_panel bt ~gammas ~sigmas:[||] ~out:[||];
-      E2e.Batch.run_gammas bt ~epsilon:1e-9 ~gammas:[||] ~out:[||];
-      let nd = min ng ns in
-      let dout = Array.make nd Float.nan in
-      E2e.Batch.run_points bt ~gammas:(Array.sub gammas 0 nd)
-        ~sigmas:(Array.sub sigmas 0 nd) ~out:dout;
-      for i = 0 to nd - 1 do
-        if not (bit_eq dout.(i) out.((i * ns) + i)) then
-          QCheck.Test.fail_reportf "diagonal %d: run_points %.17g panel %.17g" i
-            dout.(i)
-            out.((i * ns) + i)
-      done;
-      let d1 = E2e.Batch.delay_given_at bt ~gamma:gammas.(0) ~sigma:sigmas.(0) in
-      if not (bit_eq d1 out.(0)) then
-        QCheck.Test.fail_reportf "delay_given_at %.17g <> panel origin %.17g" d1
-          out.(0);
-      let gout = Array.make ng Float.nan in
-      E2e.Batch.run_gammas bt ~epsilon:1e-9 ~gammas ~out:gout;
-      for i = 0 to ng - 1 do
-        let dk = E2e.Kernel.delay_at_gamma k ~gamma:gammas.(i) ~epsilon:1e-9 in
-        if not (bit_eq gout.(i) dk) then
-          QCheck.Test.fail_reportf "run_gammas %d: batch %.17g kernel %.17g" i
-            gout.(i) dk;
-        let db = E2e.Batch.delay_at_gamma bt ~gamma:gammas.(i) ~epsilon:1e-9 in
-        if not (bit_eq db dk) then
-          QCheck.Test.fail_reportf "delay_at_gamma %d: batch %.17g kernel %.17g" i db
-            dk
-      done;
-      true)
-
-(* The grid-batching toggle can never change a result: [delay_bound]
-   (blocked Batch panels vs the per-point Kernel fan-out, including the
-   golden phase's compiled evaluator) and [delay_grid] across several
-   blocks must agree bitwise in both positions. *)
-let prop_grid_batching_toggle =
-  QCheck.Test.make ~name:"grid batching toggle is bit-neutral" ~count:(Qc.count 60)
-    path_arb
-    (fun (p, _u, _extra) ->
+(* The evaluator's contract: the compiled zero-allocation kernel replays
+   the list-based oracle float-for-float — sigma_for, delay, the public
+   delay_given, optimal_thetas (X and every theta), delay_at_gamma and
+   run_gammas are bit-identical for every scheduler mix and every H,
+   with one kernel driven through a non-monotone (γ, σ) sequence. *)
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = reference bit-for-bit (Eq. 38)" ~count:(Qc.count 400)
+    kernel_arb
+    (fun (p, pts) ->
       let epsilon = 1e-9 in
-      Fun.protect ~finally:(fun () -> E2e.set_grid_batching true) @@ fun () ->
       let gmax = E2e.gamma_max p in
-      let gammas = Array.init 23 (fun i -> gmax *. (0.04 +. (0.04 *. float_of_int i))) in
-      E2e.set_grid_batching true;
-      let bound_on = E2e.delay_bound ~epsilon p in
-      let grid_on = E2e.delay_grid ~epsilon p gammas in
-      E2e.set_grid_batching false;
-      let bound_off = E2e.delay_bound ~epsilon p in
-      let grid_off = E2e.delay_grid ~epsilon p gammas in
-      if not (bit_eq bound_on bound_off) then
-        QCheck.Test.fail_reportf "delay_bound: batched %.17g unbatched %.17g"
-          bound_on bound_off;
+      let k = E2e.Kernel.make p in
+      let fail_if_ne what i a b =
+        if not (bit_eq a b) then
+          QCheck.Test.fail_reportf "point %d %s: oracle %.17g kernel %.17g" i what a b
+      in
+      List.iteri
+        (fun i (u, extra) ->
+          let gamma = gmax *. u in
+          let sref = Oracle.sigma_for p ~gamma ~epsilon in
+          fail_if_ne "sigma_for" i sref (E2e.Kernel.sigma_for k ~gamma ~epsilon);
+          let sigma = sref +. extra in
+          let dref = Oracle.delay_given p ~gamma ~sigma in
+          E2e.Kernel.set k ~gamma ~sigma;
+          fail_if_ne "delay" i dref (E2e.Kernel.delay k);
+          fail_if_ne "delay_given" i dref (E2e.delay_given p ~gamma ~sigma);
+          let (tref, xref) = Oracle.optimal_thetas p ~gamma ~sigma in
+          let (tker, xker) = E2e.Kernel.optimal_thetas k in
+          fail_if_ne "optimal X" i xref xker;
+          if Array.length tref <> Array.length tker then
+            QCheck.Test.fail_reportf "theta arity: %d vs %d" (Array.length tref)
+              (Array.length tker);
+          Array.iteri (fun j v -> fail_if_ne (Fmt.str "theta %d" j) i v tker.(j)) tref;
+          fail_if_ne "delay_at_gamma" i
+            (Oracle.delay_given p ~gamma ~sigma:sref)
+            (E2e.Kernel.delay_at_gamma k ~gamma ~epsilon))
+        pts;
+      let gammas = Array.of_list (List.map (fun (u, _) -> gmax *. u) pts) in
+      let out = Array.make (Array.length gammas) Float.nan in
+      E2e.Kernel.run_gammas k ~epsilon ~gammas ~out;
       Array.iteri
-        (fun i v ->
-          if not (bit_eq v grid_off.(i)) then
-            QCheck.Test.fail_reportf "delay_grid %d: batched %.17g unbatched %.17g" i
-              v grid_off.(i))
-        grid_on;
+        (fun i gamma ->
+          let sigma = Oracle.sigma_for p ~gamma ~epsilon in
+          fail_if_ne "run_gammas" i (Oracle.delay_given p ~gamma ~sigma) out.(i))
+        gammas;
+      E2e.Kernel.run_gammas k ~epsilon ~gammas:[||] ~out:[||];
+      (match E2e.Kernel.run_gammas k ~epsilon ~gammas ~out:[||] with
+      | () -> QCheck.Test.fail_report "run_gammas accepted a short output buffer"
+      | exception Invalid_argument _ -> ());
       true)
 
 (* Homogeneous path + (gamma, sigma) for the K-procedure properties. *)
@@ -597,7 +504,7 @@ let prop_k_procedure_vs_enumeration =
     ~count:(Qc.count 400) homog_arb
     (fun (p, u, extra) ->
       let gamma = E2e.gamma_max p *. u in
-      let sigma = E2e.Reference.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
+      let sigma = Oracle.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
       let exact = E2e.delay_given p ~gamma ~sigma in
       let kproc = E2e.k_procedure p ~gamma ~sigma in
       let fast = E2e.delay_given_fast p ~gamma ~sigma in
@@ -633,7 +540,7 @@ let prop_fast_path_heterogeneous_bitwise =
     (fun (p, u, extra) ->
       QCheck.assume (not (E2e.is_homogeneous p));
       let gamma = E2e.gamma_max p *. u in
-      let sigma = E2e.Reference.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
+      let sigma = Oracle.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
       bit_eq (E2e.delay_given_fast p ~gamma ~sigma) (E2e.delay_given p ~gamma ~sigma))
 
 let test_smallest_k_matches_reference () =
@@ -657,13 +564,85 @@ let test_smallest_k_matches_reference () =
           List.iter
             (fun (c, rho_c, gamma) ->
               let fast = E2e.smallest_k ~extra_ok ~h ~c ~rho_c ~gamma in
-              let slow = E2e.Reference.smallest_k ~extra_ok ~h ~c ~rho_c ~gamma in
+              let slow = Oracle.smallest_k ~extra_ok ~h ~c ~rho_c ~gamma in
               Alcotest.(check int)
                 (Fmt.str "H=%d %s c=%g rho_c=%g gamma=%g" h name c rho_c gamma)
                 slow fast)
             [ (100., 35., 0.5); (100., 35., 3.); (80., 60., 0.05); (200., 10., 2.) ])
         (predicates h))
     [ 1; 2; 3; 7; 50; 333; 1000 ]
+
+(* ---------------- gamma-search entries ---------------- *)
+
+(* Every public gamma search rejects a violation probability outside
+   (0, 1) — NaN included — before looking at the path, so an overloaded
+   path raises too instead of answering [infinity]. *)
+let test_epsilon_validated () =
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 and cross = Ebb.v ~m:1. ~rho:35. ~alpha:0.8 in
+  let homog = mk_path ~h:5 ~delta:(Delta.Fin 0.) in
+  let hetero =
+    let bmux_at_2 i nd = if i = 2 then { nd with E2e.delta = Delta.Pos_inf } else nd in
+    { homog with E2e.nodes = Array.mapi bmux_at_2 homog.E2e.nodes }
+  in
+  let overloaded = E2e.homogeneous ~h:5 ~capacity:40. ~cross ~delta:(Delta.Fin 0.) ~through in
+  let mc = Multiclass.of_two_class homog in
+  let entries =
+    List.concat_map
+      (fun (tag, p) ->
+        [
+          ("E2e.delay_bound " ^ tag, fun epsilon -> E2e.delay_bound ~epsilon p);
+          ("E2e.backlog_bound " ^ tag, fun epsilon -> E2e.backlog_bound ~gamma_points:4 ~epsilon p);
+          ("E2e.delay_bound_fast " ^ tag, fun epsilon -> E2e.delay_bound_fast ~epsilon p);
+          ( "E2e.delay_bound_cached " ^ tag,
+            fun epsilon -> E2e.delay_bound_cached ~kernel:(E2e.Kernel.make p) ~epsilon p );
+        ])
+      [ ("homogeneous", homog); ("heterogeneous", hetero); ("overloaded", overloaded) ]
+    @ [
+        ("Multiclass.delay_bound", fun epsilon -> Multiclass.delay_bound ~gamma_points:4 ~epsilon mc);
+        ( "Additive.delay_bound",
+          fun epsilon -> Additive.delay_bound ~capacity:100. ~cross ~h:5 ~epsilon through );
+        ( "Additive.delay_bound overloaded",
+          fun epsilon -> Additive.delay_bound ~capacity:40. ~cross ~h:5 ~epsilon through );
+      ]
+  in
+  List.iter
+    (fun (name, bound) ->
+      List.iter
+        (fun epsilon ->
+          match bound epsilon with
+          | v -> Alcotest.failf "%s accepted epsilon = %g (returned %g)" name epsilon v
+          | exception Invalid_argument _ -> ())
+        [ Float.nan; 0.; 1.; 5. ];
+      let v = bound 1e-3 in
+      if Float.is_nan v then Alcotest.failf "%s: NaN at epsilon = 1e-3" name)
+    entries
+
+(* [delay_bound_cached] on three serve-style shapes (s pinned at half the
+   stable maximum, as a cache entry pins one s), at the serve grid (12
+   points) and a coarse one, pinned bit for bit: any change to the grid,
+   the golden phase or the Eq.-38 evaluator shows here. *)
+let test_delay_bound_cached_pinned () =
+  List.iter
+    (fun (h, u_through, u_cross, sched, epsilon, s_exp, d12, d5) ->
+      let sc = Scenario.of_utilization ~h ~u_through ~u_cross in
+      let s = 0.5 *. Option.get (Scenario.s_stable_max sc) in
+      let p = Scenario.path_at sc ~s ~delta:(Classes.delta_through_cross sched) in
+      let kernel = E2e.Kernel.make p in
+      let check what expected got =
+        if not (bit_eq expected got) then
+          Alcotest.failf "H=%d %s: expected %.17g, got %.17g" h what expected got
+      in
+      check "s" s_exp s;
+      check "12-point bound" d12 (E2e.delay_bound_cached ~kernel ~epsilon p);
+      check "5-point bound" d5 (E2e.delay_bound_cached ~gamma_points:5 ~kernel ~epsilon p))
+    [
+      (5, 0.15, 0.35, Classes.Fifo, 1e-9, 0.024438116845651999, 146.98628008584419,
+       146.98628018944709);
+      (10, 0.3, 0.4, Classes.Bmux, 1e-6, 0.013691163431736904, 423.36523685329706,
+       423.36523688720393);
+      (2, 0.2, 0.6, Classes.Edf_gap (-4.), 1e-3, 0.0089407071598593818, 82.099093061520819,
+       82.099093061520819);
+    ]
 
 (* ---------------- additive baseline ---------------- *)
 
@@ -735,10 +714,11 @@ let suite =
     Alcotest.test_case "additive superlinear" `Slow test_additive_superlinear_growth;
     Alcotest.test_case "additive per-node increasing" `Quick test_additive_per_node_increasing;
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
-    QCheck_alcotest.to_alcotest prop_batch_matches_kernel;
-    QCheck_alcotest.to_alcotest prop_grid_batching_toggle;
     QCheck_alcotest.to_alcotest prop_k_procedure_vs_enumeration;
     QCheck_alcotest.to_alcotest prop_fast_path_heterogeneous_bitwise;
     Alcotest.test_case "smallest_k O(H) = reference up to H=1000" `Quick
       test_smallest_k_matches_reference;
+    Alcotest.test_case "epsilon validated at every gamma search" `Quick test_epsilon_validated;
+    Alcotest.test_case "delay_bound_cached pinned on serve shapes" `Quick
+      test_delay_bound_cached_pinned;
   ]

@@ -492,20 +492,38 @@ let test_grid_log_spaced () =
 
 let test_grid_min_argmin () =
   let f x = Float.abs (x -. 0.31) in
-  let xs = Grid.log_spaced ~lo:0.01 ~ratio:1.3 ~points:20 in
-  (* sequential reference folds *)
-  let seq_best = ref (f xs.(0)) in
-  Array.iter (fun x -> let v = f x in if v < !seq_best then seq_best := v) xs;
+  let lo = 0.01 and hi = 0.01 *. (1.3 ** 19.) and points = 20 in
+  let ratio = (hi /. lo) ** (1. /. float_of_int (points - 1)) in
+  let xs = Grid.log_spaced ~lo ~ratio ~points in
+  (* sequential reference fold: first strict minimum, seeded with point 0 *)
+  let seq_best = ref 0 in
+  Array.iteri (fun i x -> if f x < f xs.(!seq_best) then seq_best := i) xs;
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
-          check_bitwise (Printf.sprintf "min jobs=%d" jobs) !seq_best (Grid.min_value f xs);
-          let (x, v) = Grid.argmin f xs in
-          check_bitwise "argmin value" !seq_best v;
-          check_bitwise "argmin abscissa evaluates to the min" !seq_best (f x)))
+          List.iter
+            (fun (name, eval) ->
+              let s = Grid.log_scan ~lo ~hi ~points eval in
+              let tag = Printf.sprintf "%s jobs=%d" name jobs in
+              check_bitwise (tag ^ " ratio") ratio s.Grid.ratio;
+              Array.iteri
+                (fun i x -> check_bitwise (Printf.sprintf "%s x%d" tag i) x s.Grid.xs.(i))
+                xs;
+              Alcotest.(check int) (tag ^ " argmin") !seq_best s.Grid.best;
+              check_bitwise (tag ^ " min") (f xs.(!seq_best)) s.Grid.values.(s.Grid.best))
+            [
+              ("values", Grid.values f);
+              ("blocked", Grid.values_blocked ~block:3 (Array.map f));
+              ("sequential", Array.map f);
+            ]))
     [ 1; 4 ];
-  check_invalid "empty grid min" (fun () -> Grid.min_value f [||]);
-  check_invalid "empty grid argmin" (fun () -> Grid.argmin f [||])
+  (* ties and NaNs resolve like the sequential strict-< fold *)
+  let s = Grid.log_scan ~lo ~hi ~points:4 (fun _ -> [| Float.nan; 0.; -1.; -1. |]) in
+  Alcotest.(check int) "NaN seed wins" 0 s.Grid.best;
+  let s = Grid.log_scan ~lo ~hi ~points:4 (fun _ -> [| 2.; -1.; 0.; -1. |]) in
+  Alcotest.(check int) "first of tied minima" 1 s.Grid.best;
+  check_invalid "empty grid" (fun () -> Grid.log_scan ~lo ~hi ~points:0 (Array.map f));
+  check_invalid "short eval" (fun () -> Grid.log_scan ~lo ~hi ~points (fun _ -> [| 0. |]))
 
 (* ---------------- QCheck properties ---------------- *)
 
