@@ -439,10 +439,6 @@ let sweep_par ~short () =
    BENCH_deltanet.json so CI can catch regressions of the
    kernel/reference ratio). *)
 
-(* set by --baseline=FILE: compare the eq38 kernel/reference ratio and the
-   figure evaluation counts against the committed BENCH_deltanet.json *)
-let baseline_file : string option ref = ref None
-
 let eq38 ~short () =
   Fmt.pr "@.== Eq. 38: list-based reference vs compiled kernel, ns/eval ==@.";
   Fmt.pr "   (homogeneous FIFO paths; eval = fixed (gamma, sigma); sweep = 40@.";
@@ -615,6 +611,47 @@ let serve_bench ~short () =
   Fmt.pr "   cached admit       %8d decisions in %6.3f s = %9.0f/s %s@." n wall
     per_sec
     (if per_sec >= 1e5 then "(target 1e5/s: ok)" else "(target 1e5/s: MISSED)");
+  (* where a cached decision's time goes, stage by stage, and its minor
+     allocation.  The allocation engine runs on a fixed clock, so
+     elapsed_ms always prints as "0" and the count repeats exactly; a
+     real clock's elapsed_ms changes length from line to line. *)
+  let module P = Serve.Protocol in
+  let params =
+    match P.parse ~debug_ops:false hot with
+    | _, Ok (P.Admit p) -> p
+    | _ -> failwith "serve bench: the hot line must parse as an admit"
+  in
+  let key = Serve.Engine.key_of params (Serve.Engine.two_class_of params) in
+  let cache = Serve.Cache.create ~capacity:16 in
+  Serve.Cache.put cache key ();
+  let stages = if short then 20_000 else 200_000 in
+  let stage name f =
+    let ns = time_ns_per_op f stages in
+    report_ns ("serve.layer." ^ name) ns;
+    ns
+  in
+  let parse_ns = stage "parse" (fun () -> P.parse ~debug_ops:false hot) in
+  let key_ns =
+    stage "key" (fun () -> Serve.Engine.key_of params (Serve.Engine.two_class_of params))
+  in
+  let lookup_ns = stage "lookup" (fun () -> Serve.Cache.find cache key) in
+  let render_ns =
+    stage "render" (fun () ->
+        P.render_admit ~trace:"0123abcd-000001" ~admitted:true ~bound_ms:45.123456789012345
+          ~deadline_ms:params.P.deadline ~mode:P.Exact ~cache_hit:true ~elapsed_ms:0.0123456 ())
+  in
+  let fixed = Serve.Engine.create ~now:(fun () -> 0.) Serve.Engine.default_config in
+  ignore (Sys.opaque_identity (Serve.Engine.handle_line fixed hot));
+  let m = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to m do
+    ignore (Sys.opaque_identity (Serve.Engine.handle_line fixed hot))
+  done;
+  (* rounding drops the few words the two Gc.minor_words calls box *)
+  let words = Float.round ((Gc.minor_words () -. w0) /. float_of_int m) in
+  report_ns "serve.decision.cached.alloc_words" words;
+  Fmt.pr "   cached stages      parse %.0f ns, key %.0f ns, lookup %.0f ns, render %.0f ns; %.0f minor words/decision@."
+    parse_ns key_ns lookup_ns render_ns words;
   (* the same hot path through the daemon's batch gulp *)
   let batch = List.init 64 (fun _ -> hot) in
   let nb = n / 64 in
@@ -902,19 +939,16 @@ let timed name f =
   section_ns_per_op := [];
   { sec_name = name; sec_wall_s = wall; sec_counters = deltas; sec_ns_per_op = ns }
 
-let json_of_report r =
-  Telemetry.Json.obj
-    [
-      ("name", "\"" ^ Telemetry.Json.escape r.sec_name ^ "\"");
-      ("wall_s", Telemetry.Json.number r.sec_wall_s);
-      ( "counters",
-        Telemetry.Json.obj
-          (List.map (fun (n, v) -> (n, string_of_int v)) r.sec_counters) );
-      ( "ns_per_op",
-        Telemetry.Json.obj
-          (List.map (fun (n, v) -> (n, Telemetry.Json.number v)) r.sec_ns_per_op)
-      );
-    ]
+let json_of_report b r =
+  let module J = Telemetry.Json in
+  J.sep b;
+  J.obj b (fun b ->
+      J.str_field b "name" r.sec_name;
+      J.num_field b "wall_s" r.sec_wall_s;
+      J.obj_field b "counters" (fun b ->
+          List.iter (fun (n, v) -> J.int_field b n v) r.sec_counters);
+      J.obj_field b "ns_per_op" (fun b ->
+          List.iter (fun (n, v) -> J.num_field b n v) r.sec_ns_per_op))
 
 (* Schema history:
      1  sections with wall_s + counters only
@@ -926,21 +960,18 @@ let bench_schema_version = 2
 
 let write_bench_json ~mode ~jobs ~total_wall_s reports =
   let oc = open_out "BENCH_deltanet.json" in
+  let module J = Telemetry.Json in
   output_string oc
-    (Telemetry.Json.obj
-       [
-         ("schema", "\"deltanet-bench\"");
-         ("version", string_of_int bench_schema_version);
-         ("mode", "\"" ^ mode ^ "\"");
-         ( "settings",
-           Telemetry.Json.obj
-             [
-               ("jobs", string_of_int jobs);
-               ("cutoff", string_of_int (Parallel.Pool.parallel_cutoff ()));
-             ] );
-         ("sections", Telemetry.Json.arr (List.map json_of_report reports));
-         ("total_wall_s", Telemetry.Json.number total_wall_s);
-       ]);
+    (J.to_string (fun b ->
+         J.obj b (fun b ->
+             J.str_field b "schema" "deltanet-bench";
+             J.int_field b "version" bench_schema_version;
+             J.str_field b "mode" mode;
+             J.obj_field b "settings" (fun b ->
+                 J.int_field b "jobs" jobs;
+                 J.int_field b "cutoff" (Parallel.Pool.parallel_cutoff ()));
+             J.arr_field b "sections" (fun b -> List.iter (json_of_report b) reports);
+             J.num_field b "total_wall_s" total_wall_s)));
   output_char oc '\n';
   close_out oc;
   Fmt.pr "[wrote BENCH_deltanet.json: %d section(s)]@." (List.length reports)
@@ -1089,11 +1120,28 @@ let check_eval_counts ~src ~path ~mode reports =
             [ "e2e.eq38.objective_evals"; "e2e.gamma.evals" ])
       reports
 
-let check_against_baseline path ~mode reports =
-  let src = read_bench_file path in
+(* The cached serve decision's minor allocation repeats exactly from run
+   to run and machine to machine, so any rise over the baseline is a
+   regression of the text path. *)
+let check_alloc_words ~src ~path ~current =
+  let key = "serve.decision.cached.alloc_words" in
+  match (List.assoc_opt key current, json_number_field src ~key) with
+  | None, _ -> ()
+  | Some _, None -> Fmt.pr "   baseline %s has no %s; not checked@." path key
+  | Some now, Some base ->
+    let ok = now <= base in
+    Fmt.pr "   %-36s %.0f (baseline %.0f) %s@." key now base (if ok then "ok" else "EXCEEDED");
+    if not ok then begin
+      Fmt.epr "FATAL: a cached serve decision allocates %.0f minor words, more than the %.0f in %s@."
+        now base path;
+      (exit [@lint.allow "raw-exit"]) 1
+    end
+
+let check_against_baseline ~src path ~mode reports =
   let current = List.concat_map (fun r -> r.sec_ns_per_op) reports in
   check_kernel_ratio ~src ~path ~current;
-  check_eval_counts ~src ~path ~mode reports
+  check_eval_counts ~src ~path ~mode reports;
+  check_alloc_words ~src ~path ~current
 
 (* ---------------------------------------------------------------- *)
 (* desim: event engine vs the slotted oracle on the workload the event
@@ -1229,7 +1277,21 @@ let () =
       Fmt.epr "%s@." msg;
       (exit [@lint.allow "raw-exit"]) 1)
   | None -> ());
-  baseline_file := List.find_map (flag_value "--baseline=") args;
+  (* --baseline=FILE: compare the eq38 kernel/reference ratio, the figure
+     evaluation counts and the cached serve decision's allocation against
+     FILE.  It is read before any section runs: the run rewrites
+     BENCH_deltanet.json, which is also the usual baseline path, and a
+     stale schema should fail before the work rather than after it. *)
+  let baseline =
+    Option.map
+      (fun path ->
+        match read_bench_file path with
+        | src -> (path, src)
+        | exception (Failure msg | Sys_error msg) ->
+          Fmt.epr "%s@." msg;
+          (exit [@lint.allow "raw-exit"]) 2)
+      (List.find_map (flag_value "--baseline=") args)
+  in
   enforce_speedup := List.mem "--enforce-speedup" args;
   let args =
     List.filter
@@ -1293,9 +1355,9 @@ let () =
   let total = Unix.gettimeofday () -. t0 in
   let mode = if short then "short" else "full" in
   write_bench_json ~mode ~jobs:!par_jobs ~total_wall_s:total reports;
-  (match !baseline_file with
+  (match baseline with
   | None -> ()
-  | Some path ->
+  | Some (path, src) ->
     Fmt.pr "@.== regression check vs %s ==@." path;
-    check_against_baseline path ~mode reports);
+    check_against_baseline ~src path ~mode reports);
   Fmt.pr "@.[total: %.1f s]@." total

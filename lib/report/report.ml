@@ -500,54 +500,47 @@ let render_text ?(top = 10) t =
 module Tj = Telemetry.Json
 
 let render_json ?(top = 10) t =
-  let num = Tj.number in
-  let str s = "\"" ^ Tj.escape s ^ "\"" in
-  let span_row s =
-    Tj.obj
-      [
-        ("name", str s.s_name);
-        ("calls", string_of_int s.s_calls);
-        ("total_ms", num s.s_total_ms);
-        ("self_ms", num s.s_self_ms);
-        ("p50_ms", num s.s_p50);
-        ("p95_ms", num s.s_p95);
-        ("p99_ms", num s.s_p99);
-      ]
+  let spans b rows =
+    List.iter
+      (fun s ->
+        Tj.sep b;
+        Tj.obj b (fun b ->
+            Tj.str_field b "name" s.s_name;
+            Tj.int_field b "calls" s.s_calls;
+            Tj.num_field b "total_ms" s.s_total_ms;
+            Tj.num_field b "self_ms" s.s_self_ms;
+            Tj.num_field b "p50_ms" s.s_p50;
+            Tj.num_field b "p95_ms" s.s_p95;
+            Tj.num_field b "p99_ms" s.s_p99))
+      rows
   in
   let requests, shed, timeout, error = serve_rates t in
-  Tj.obj
-    [
-      ("files", string_of_int t.files);
-      ("lines", string_of_int t.lines);
-      ("bad_lines", string_of_int t.bad_lines);
-      ("duration_s", num t.duration_s);
-      ("dropped_events", string_of_int t.dropped);
-      ("orphan_span_ends", string_of_int t.orphan_ends);
-      ("spans", Tj.arr (List.map span_row (by_name t)));
-      ("hot_spans", Tj.arr (List.map span_row (hot_spans ~top t)));
-      ( "counters",
-        Tj.obj
-          (List.map (fun (k, v) -> (k, string_of_int v)) (counter_rows t)) );
-      ( "serve",
-        Tj.obj
-          [
-            ("requests", string_of_int requests);
-            ("shed_rate", num shed);
-            ("timeout_rate", num timeout);
-            ("error_rate", num error);
-            ( "outcomes",
-              Tj.arr
-                (List.map
-                   (fun r ->
-                     Tj.obj
-                       [
-                         ("outcome", str r.sv_outcome);
-                         ("count", string_of_int r.sv_count);
-                         ("p50_ms", num r.sv_p50);
-                         ("p95_ms", num r.sv_p95);
-                         ("p99_ms", num r.sv_p99);
-                         ("source", str r.sv_source);
-                       ])
-                   (serve_rows t)) );
-          ] );
-    ]
+  Tj.to_string (fun b ->
+      Tj.obj b (fun b ->
+          Tj.int_field b "files" t.files;
+          Tj.int_field b "lines" t.lines;
+          Tj.int_field b "bad_lines" t.bad_lines;
+          Tj.num_field b "duration_s" t.duration_s;
+          Tj.int_field b "dropped_events" t.dropped;
+          Tj.int_field b "orphan_span_ends" t.orphan_ends;
+          Tj.arr_field b "spans" (fun b -> spans b (by_name t));
+          Tj.arr_field b "hot_spans" (fun b -> spans b (hot_spans ~top t));
+          Tj.obj_field b "counters" (fun b ->
+              List.iter (fun (k, v) -> Tj.int_field b k v) (counter_rows t));
+          Tj.obj_field b "serve" (fun b ->
+              Tj.int_field b "requests" requests;
+              Tj.num_field b "shed_rate" shed;
+              Tj.num_field b "timeout_rate" timeout;
+              Tj.num_field b "error_rate" error;
+              Tj.arr_field b "outcomes" (fun b ->
+                  List.iter
+                    (fun r ->
+                      Tj.sep b;
+                      Tj.obj b (fun b ->
+                          Tj.str_field b "outcome" r.sv_outcome;
+                          Tj.int_field b "count" r.sv_count;
+                          Tj.num_field b "p50_ms" r.sv_p50;
+                          Tj.num_field b "p95_ms" r.sv_p95;
+                          Tj.num_field b "p99_ms" r.sv_p99;
+                          Tj.str_field b "source" r.sv_source))
+                    (serve_rows t)))))

@@ -169,15 +169,28 @@ let two_class_of (p : P.admit_params) =
     let d0 = p.deadline /. float_of_int p.h in
     Classes.Edf_gap (d0 *. (1. -. cross_over_through))
 
+(* [%h] prints every float but a NaN injectively, and a NaN as "nan" or
+   "-nan": the key keeps the bit pattern, and of a NaN only its sign. *)
+let key_bits x = Int64.bits_of_float (if Float.is_nan x then Float.copy_sign Float.nan x else x)
+
+(* The cache key: h, a scheduler tag and the bit patterns of the EDF gap,
+   u0, uc and epsilon, packed into 41 bytes.  Two shapes share a key
+   exactly when the old [%d|tag|%h|%h|%h] text keys agreed, so -0.0 and
+   0.0 stay apart. *)
 let key_of (p : P.admit_params) two_class =
-  let tag =
-    match two_class with
-    | Classes.Fifo -> "f"
-    | Classes.Bmux -> "b"
-    | Classes.Sp_through_high -> "s"
-    | Classes.Edf_gap g -> Printf.sprintf "e%h" g
-  in
-  Printf.sprintf "%d|%s|%h|%h|%h" p.P.h tag p.P.u_through p.P.u_cross p.P.epsilon
+  let b = Bytes.make 41 '\000' in
+  Bytes.set_int64_le b 0 (Int64.of_int p.P.h);
+  (match two_class with
+  | Classes.Fifo -> Bytes.set b 8 'f'
+  | Classes.Bmux -> Bytes.set b 8 'b'
+  | Classes.Sp_through_high -> Bytes.set b 8 's'
+  | Classes.Edf_gap g ->
+    Bytes.set b 8 'e';
+    Bytes.set_int64_le b 9 (key_bits g));
+  Bytes.set_int64_le b 17 (key_bits p.P.u_through);
+  Bytes.set_int64_le b 25 (key_bits p.P.u_cross);
+  Bytes.set_int64_le b 33 (key_bits p.P.epsilon);
+  Bytes.unsafe_to_string b
 
 let scenario_of (p : P.admit_params) =
   let sc = Scenario.of_utilization ~h:p.P.h ~u_through:p.P.u_through ~u_cross:p.P.u_cross in

@@ -74,6 +74,17 @@ val stats_response : ?id:string -> ?trace:string -> t -> string
     shed/timeout/error counts since the engine started — exact even when
     telemetry is disabled, because the tallies live on the engine. *)
 
+val two_class_of : Protocol.admit_params -> Scheduler.Classes.two_class
+(** The two-class scheduler a request names.  Serve-mode EDF anchors the
+    per-node deadline to the request's own budget ([deadline / h]), so its
+    gap is [deadline / h * (1 - edf_ratio)]. *)
+
+val key_of : Protocol.admit_params -> Scheduler.Classes.two_class -> string
+(** The cache key of a shape: [h], the scheduler and the IEEE bit patterns
+    of the EDF gap, [u0], [uc] and [epsilon], as raw bytes.  Two shapes
+    share a key exactly when every one of those floats prints the same
+    under [%h] — so [-0.] and [0.] stay apart. *)
+
 val cache_length : t -> int
 val served : t -> int
 

@@ -191,71 +191,61 @@ type mode = Exact | Approx
 
 let mode_label = function Exact -> "exact" | Approx -> "approx"
 
-let str s = "\"" ^ J.escape s ^ "\""
-let bool b = if b then "true" else "false"
-
 (* [id] (echoed client correlation id) leads, [trace] (server-assigned
    request trace id, also in the access log) closes, so clients can join
    a response line against the daemon's own telemetry. *)
-let with_ids id trace fields =
-  let fields = match trace with None -> fields | Some s -> fields @ [ ("trace", str s) ] in
-  match id with None -> fields | Some i -> ("id", str i) :: fields
+let render ?id ?trace fields =
+  J.to_string (fun b ->
+      J.obj b (fun b ->
+          (match id with Some i -> J.str_field b "id" i | None -> ());
+          fields b;
+          match trace with Some s -> J.str_field b "trace" s | None -> ()))
 
 let render_admit ?id ?trace ~admitted ~bound_ms ~deadline_ms ~mode ~cache_hit
     ~elapsed_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "admit");
-         ("admit", bool admitted);
-         ("bound_ms", J.number bound_ms);
-         ("deadline_ms", J.number deadline_ms);
-         ("mode", str (mode_label mode));
-         ("cache", str (if cache_hit then "hit" else "miss"));
-         ("elapsed_ms", J.number elapsed_ms);
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "ok";
+      J.str_field b "op" "admit";
+      J.bool_field b "admit" admitted;
+      J.num_field b "bound_ms" bound_ms;
+      J.num_field b "deadline_ms" deadline_ms;
+      J.str_field b "mode" (mode_label mode);
+      J.str_field b "cache" (if cache_hit then "hit" else "miss");
+      J.num_field b "elapsed_ms" elapsed_ms)
 
 let render_check ?id ?trace ~findings () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "check");
-         ("ok", bool (match findings with [] -> true | _ :: _ -> false));
-         ("findings", J.arr (List.map str findings));
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "ok";
+      J.str_field b "op" "check";
+      J.bool_field b "ok" (match findings with [] -> true | _ :: _ -> false);
+      J.arr_field b "findings" (fun b ->
+          List.iter
+            (fun f ->
+              J.sep b;
+              J.add_string b f)
+            findings))
 
 let render_error ?id ?trace ~kind ~detail () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "error");
-         ("code", str (error_code kind));
-         ("detail", str detail);
-         ("exit_hint", string_of_int (exit_hint kind));
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "error";
+      J.str_field b "code" (error_code kind);
+      J.str_field b "detail" detail;
+      J.int_field b "exit_hint" (exit_hint kind))
 
 let render_shed ?id ?trace ~retry_after_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "shed");
-         ("code", str (error_code Overloaded));
-         ("retry_after_ms", J.number retry_after_ms);
-         ("exit_hint", string_of_int (exit_hint Overloaded));
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "shed";
+      J.str_field b "code" (error_code Overloaded);
+      J.num_field b "retry_after_ms" retry_after_ms;
+      J.int_field b "exit_hint" (exit_hint Overloaded))
 
 let render_timeout ?id ?trace ~elapsed_ms ~budget_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "timeout");
-         ("code", str (error_code Deadline_exceeded));
-         ("elapsed_ms", J.number elapsed_ms);
-         ("budget_ms", J.number budget_ms);
-         ("exit_hint", string_of_int (exit_hint Deadline_exceeded));
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "timeout";
+      J.str_field b "code" (error_code Deadline_exceeded);
+      J.num_field b "elapsed_ms" elapsed_ms;
+      J.num_field b "budget_ms" budget_ms;
+      J.int_field b "exit_hint" (exit_hint Deadline_exceeded))
 
 let render_stats ?id ?trace ~uptime_s ~served ~cache_len ~cache_capacity
     ~cache_hits ~cache_misses ~shed ~timeouts ~errors ~counters () =
@@ -263,31 +253,30 @@ let render_stats ?id ?trace ~uptime_s ~served ~cache_len ~cache_capacity
   let hit_ratio =
     if lookups = 0 then 0. else float_of_int cache_hits /. float_of_int lookups
   in
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "stats");
-         ("uptime_s", J.number uptime_s);
-         ("served", string_of_int served);
-         ("cache_len", string_of_int cache_len);
-         ("cache_capacity", string_of_int cache_capacity);
-         ("cache_hits", string_of_int cache_hits);
-         ("cache_misses", string_of_int cache_misses);
-         ("cache_hit_ratio", J.number hit_ratio);
-         ("shed", string_of_int shed);
-         ("timeouts", string_of_int timeouts);
-         ("errors", string_of_int errors);
-         ( "counters",
-           J.obj (List.map (fun (k, v) -> (k, string_of_int v)) counters) );
-       ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "ok";
+      J.str_field b "op" "stats";
+      J.num_field b "uptime_s" uptime_s;
+      J.int_field b "served" served;
+      J.int_field b "cache_len" cache_len;
+      J.int_field b "cache_capacity" cache_capacity;
+      J.int_field b "cache_hits" cache_hits;
+      J.int_field b "cache_misses" cache_misses;
+      J.num_field b "cache_hit_ratio" hit_ratio;
+      J.int_field b "shed" shed;
+      J.int_field b "timeouts" timeouts;
+      J.int_field b "errors" errors;
+      J.obj_field b "counters" (fun b ->
+          List.iter (fun (k, v) -> J.int_field b k v) counters))
 
 let render_health ?id ?trace ~uptime_s () =
-  J.obj
-    (with_ids id trace
-       [ ("status", str "ok"); ("op", str "health"); ("uptime_s", J.number uptime_s) ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "ok";
+      J.str_field b "op" "health";
+      J.num_field b "uptime_s" uptime_s)
 
 let render_metrics ?id ?trace ~prometheus () =
-  J.obj
-    (with_ids id trace
-       [ ("status", str "ok"); ("op", str "metrics"); ("prometheus", str prometheus) ])
+  render ?id ?trace (fun b ->
+      J.str_field b "status" "ok";
+      J.str_field b "op" "metrics";
+      J.str_field b "prometheus" prometheus)

@@ -30,7 +30,16 @@
     trace after the fact.
 
     Parsing is total: every byte string maps to a request or to a typed
-    error, never an exception. *)
+    error, never an exception.
+
+    {b Stable bytes.}  Responses are part of the wire contract, byte for
+    byte: each renderer writes its fields in one fixed order (an echoed
+    [id] first, the [trace] last) with no whitespace, strings are
+    escaped as {!Telemetry.Json.escape} does, and floats print as
+    [Printf.sprintf "%.17g"] does (so they round-trip exactly), with
+    non-finite ones as [null].  The test suite pins every
+    [render_*] against the list-built renderers it replaced (kept in
+    [test/oracle]) on random floats and hostile strings. *)
 
 type scheduler_kind =
   | Fifo

@@ -15,7 +15,15 @@
       [invalid-request] errors.  The textual forms [NaN]/[Infinity] are
       not JSON and fail the parse.
     - {b No surprises on lookup.}  Accessors are option-returning;
-      duplicate object keys resolve to the first occurrence. *)
+      duplicate object keys resolve to the first occurrence.
+    - {b Stable errors.}  An [Error] message names the fault and the
+      byte offset where the scan stopped (["unterminated string at byte
+      3"]); it reaches clients verbatim as a [parse-error] detail, so the
+      text and the offsets are part of the contract, pinned by a
+      malformed corpus in the test suite.
+
+    The scan allocates only what the tree holds: a string with no escape
+    is copied once, and one with escapes is decoded through a buffer. *)
 
 type t =
   | Null

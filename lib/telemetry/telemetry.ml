@@ -34,37 +34,115 @@ let dom_id () = (Domain.self () :> int)
 (* ---------------- JSON / CSV emission ---------------- *)
 
 module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
+  (* [Printf.sprintf "%.17g"] bottoms out in this primitive; calling it
+     directly skips the format interpreter and yields the same bytes. *)
+  external format_float : string -> float -> string = "caml_format_float"
+
+  let number x = if Float.is_finite x then format_float "%.17g" x else "null"
+  let hex = "0123456789abcdef"
+  let needs_escape c = Char.code c < 0x20 || Char.equal c '"' || Char.equal c '\\'
+
+  (* Copy the runs between bytes that need escaping in one blit each: a
+     string with nothing to escape is a single [add_string]. *)
+  let add_escaped buf s =
+    let n = String.length s in
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      let c = s.[i] in
+      if needs_escape c then begin
+        Buffer.add_substring buf s !start (i - !start);
+        start := i + 1;
         match c with
         | '"' -> Buffer.add_string buf "\\\""
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | '\r' -> Buffer.add_string buf "\\r"
         | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+        | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]
+      end
+    done;
+    Buffer.add_substring buf s !start (n - !start)
 
-  let number x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
+  let escape s =
+    if not (String.exists needs_escape s) then s
+    else begin
+      let buf = Buffer.create (String.length s + 8) in
+      add_escaped buf s;
+      Buffer.contents buf
+    end
 
-  let of_value = function
-    | Int i -> string_of_int i
-    | Float x -> number x
-    | Str s -> "\"" ^ escape s ^ "\""
-    | Bool b -> if b then "true" else "false"
+  let add_string buf s =
+    Buffer.add_char buf '"';
+    add_escaped buf s;
+    Buffer.add_char buf '"'
 
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ v) fields)
-    ^ "}"
+  let add_number buf x = Buffer.add_string buf (number x)
 
-  let arr items = "[" ^ String.concat "," items ^ "]"
+  let add_value buf = function
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float x -> add_number buf x
+    | Str s -> add_string buf s
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+
+  (* The first member or element of a container follows its opening
+     bracket directly; every later one needs a comma. *)
+  let sep buf =
+    let n = Buffer.length buf in
+    if n > 0 then
+      match Buffer.nth buf (n - 1) with
+      | '{' | '[' -> ()
+      | _ -> Buffer.add_char buf ','
+
+  let field buf k =
+    sep buf;
+    add_string buf k;
+    Buffer.add_char buf ':'
+
+  let obj buf f =
+    Buffer.add_char buf '{';
+    f buf;
+    Buffer.add_char buf '}'
+
+  let arr buf f =
+    Buffer.add_char buf '[';
+    f buf;
+    Buffer.add_char buf ']'
+
+  let str_field buf k v = field buf k; add_string buf v
+  let num_field buf k v = field buf k; add_number buf v
+  let int_field buf k v = field buf k; Buffer.add_string buf (string_of_int v)
+  let bool_field buf k v = field buf k; Buffer.add_string buf (if v then "true" else "false")
+  let obj_field buf k f = field buf k; obj buf f
+  let arr_field buf k f = field buf k; arr buf f
+
+  (* One scratch buffer per domain, reset (and shrunk back) on every
+     use; a nested call finds it busy and takes a fresh one. *)
+  type scratch = { sbuf : Buffer.t; mutable busy : bool }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () -> { sbuf = Buffer.create 256; busy = false })
+
+  let to_string f =
+    let s = Domain.DLS.get scratch_key in
+    if s.busy then begin
+      let buf = Buffer.create 256 in
+      f buf;
+      Buffer.contents buf
+    end
+    else begin
+      s.busy <- true;
+      Buffer.reset s.sbuf;
+      match f s.sbuf with
+      | () ->
+        s.busy <- false;
+        Buffer.contents s.sbuf
+      | exception e ->
+        s.busy <- false;
+        raise e
+    end
 end
 
 module Csv = struct
@@ -145,40 +223,39 @@ module Sink = struct
 
   let jsonl oc =
     let epoch = now () in
-    let ts_field ts = ("ts", Json.number (ts -. epoch)) in
-    let dom_field dom = ("dom", string_of_int dom) in
-    let attr_fields attrs = List.map (fun (k, v) -> (k, Json.of_value v)) attrs in
-    let line fields =
-      output_string oc (Json.obj fields);
+    let line f =
+      output_string oc (Json.to_string (fun b -> Json.obj b f));
       output_char oc '\n'
     in
+    let attrs b kvs = List.iter (fun (k, v) -> Json.field b k; Json.add_value b v) kvs in
+    let head b kind ts dom name =
+      Json.str_field b "type" kind;
+      Json.num_field b "ts" (ts -. epoch);
+      Json.int_field b "dom" dom;
+      Json.str_field b "name" name
+    in
     let emit = function
-      | Span_start { ts; dom; name; depth; attrs } ->
-        line
-          ([ ("type", "\"span_start\""); ts_field ts; dom_field dom;
-             ("name", Json.of_value (Str name)); ("depth", string_of_int depth) ]
-          @ attr_fields attrs)
-      | Span_end { ts; dom; name; depth; elapsed_ms; attrs } ->
-        line
-          ([ ("type", "\"span_end\""); ts_field ts; dom_field dom;
-             ("name", Json.of_value (Str name)); ("depth", string_of_int depth);
-             ("elapsed_ms", Json.number elapsed_ms) ]
-          @ attr_fields attrs)
-      | Point { ts; dom; span; depth = _; name; attrs } ->
-        let span_field =
-          match span with
-          | None -> []
-          | Some s -> [ ("span", Json.of_value (Str s)) ]
-        in
-        line
-          ([ ("type", "\"event\""); ts_field ts; dom_field dom;
-             ("name", Json.of_value (Str name)) ]
-          @ span_field @ attr_fields attrs)
+      | Span_start { ts; dom; name; depth; attrs = a } ->
+        line (fun b ->
+            head b "span_start" ts dom name;
+            Json.int_field b "depth" depth;
+            attrs b a)
+      | Span_end { ts; dom; name; depth; elapsed_ms; attrs = a } ->
+        line (fun b ->
+            head b "span_end" ts dom name;
+            Json.int_field b "depth" depth;
+            Json.num_field b "elapsed_ms" elapsed_ms;
+            attrs b a)
+      | Point { ts; dom; span; depth = _; name; attrs = a } ->
+        line (fun b ->
+            head b "event" ts dom name;
+            Option.iter (Json.str_field b "span") span;
+            attrs b a)
       | Metric { kind; name; fields } ->
-        line
-          ([ ("type", Json.of_value (Str kind));
-             ("name", Json.of_value (Str name)) ]
-          @ attr_fields fields)
+        line (fun b ->
+            Json.str_field b "type" kind;
+            Json.str_field b "name" name;
+            attrs b fields)
     in
     { emit; flush = (fun () -> flush oc) }
 
@@ -701,7 +778,7 @@ module Prometheus = struct
 
   let number x =
     if Float.is_nan x then "NaN"
-    else if Float.is_finite x then Printf.sprintf "%.17g" x
+    else if Float.is_finite x then Json.number x
     else if x > 0. then "+Inf"
     else "-Inf"
 

@@ -257,21 +257,49 @@ module Prometheus : sig
 end
 
 module Json : sig
-  (** Minimal JSON emission — enough to write valid JSON-lines and
-      snapshot files without an external parser/printer. *)
+  (** The one JSON writer: values are appended to a [Buffer.t], so a
+      document is built in place with no intermediate strings.  Floats
+      print as [Printf.sprintf "%.17g"] does, byte for byte, so every
+      finite float round-trips exactly. *)
 
   val escape : string -> string
-  (** Contents of a JSON string literal (no surrounding quotes). *)
+  (** Contents of a JSON string literal (no surrounding quotes); the
+      argument itself when nothing needs escaping. *)
 
   val number : float -> string
-  (** Non-finite floats become [null] (JSON has no [inf]/[nan]). *)
+  (** [%.17g]; non-finite floats become [null] (JSON has no
+      [inf]/[nan]). *)
 
-  val of_value : value -> string
+  val add_string : Buffer.t -> string -> unit
+  (** A quoted, escaped JSON string literal. *)
 
-  val obj : (string * string) list -> string
-  (** Values are raw, already-serialized JSON. *)
+  val add_number : Buffer.t -> float -> unit
+  (** {!number} appended to the buffer. *)
 
-  val arr : string list -> string
+  val sep : Buffer.t -> unit
+  (** The comma before a container's next member or element: nothing
+      when the buffer is empty or ends in ['{'] or ['['], so the first
+      one after the opening bracket gets none. *)
+
+  val obj : Buffer.t -> (Buffer.t -> unit) -> unit
+  (** ['{'], the members the function writes, ['}']. *)
+
+  val arr : Buffer.t -> (Buffer.t -> unit) -> unit
+  (** ['\['], the elements the function writes (each after {!sep}),
+      ['\]']. *)
+
+  val str_field : Buffer.t -> string -> string -> unit
+  val num_field : Buffer.t -> string -> float -> unit
+  val int_field : Buffer.t -> string -> int -> unit
+  val bool_field : Buffer.t -> string -> bool -> unit
+  val obj_field : Buffer.t -> string -> (Buffer.t -> unit) -> unit
+  val arr_field : Buffer.t -> string -> (Buffer.t -> unit) -> unit
+  (** An object member: {!sep}, the quoted key, [':'] and the value. *)
+
+  val to_string : (Buffer.t -> unit) -> string
+  (** Run the writer on this domain's scratch buffer (fresh and empty;
+      a nested call gets a buffer of its own) and return what it
+      wrote. *)
 end
 
 module Csv : sig

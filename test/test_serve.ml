@@ -115,6 +115,139 @@ let test_sjson_rejects () =
       String.make 80 '[' ^ String.make 80 ']' (* past max_depth *);
     ]
 
+(* The exact error text, byte offsets included, of a malformed corpus:
+   loadgen's five kinds (three are valid JSON and fail only in the
+   protocol), broken strings, escapes and surrogates, raw control
+   bytes, number-grammar violations, nesting past the depth bound,
+   trailing garbage and empty input.  Clients and logs see these
+   strings, so they must not drift. *)
+let sjson_error_corpus =
+  let nest open_ close n = String.concat "" (List.init n (fun _ -> open_)) ^ close n in
+  [
+    ("{\"op\":\"admit\",\"h\":5", "expected ',' or '}' at byte 19");
+    ("{\"op\":\"nonsense\"}", "ok");
+    ("{\"op\":\"admit\",\"h\":\"five\",\"u0\":0.1,\"uc\":0.1,\"deadline\":50}", "ok");
+    ("{\"op\":\"admit\",\"h\":5,\"u0\":1e999,\"uc\":0.1,\"deadline\":50}", "ok");
+    ("not json at all", "expected 'u', found 'o' at byte 1");
+    ("\"ab", "unterminated string at byte 3");
+    ("{\"a", "unterminated string at byte 3");
+    ("{\"op\":\"adm", "unterminated string at byte 10");
+    ("\"ab\\", "unterminated escape at byte 4");
+    ("\"\\q\"", "bad escape character at byte 3");
+    ("\"\\u12", "bad \\u escape at byte 5");
+    ("\"\\u12G4\"", "bad \\u escape at byte 5");
+    ("\"\\ud83d\\ude00\"", "ok");
+    ("\"\\ud83d\"", "expected '\\', found '\"' at byte 7");
+    ("\"\\ud83dx\"", "expected '\\', found 'x' at byte 7");
+    ("\"\\ud83d\\u0041\"", "unpaired surrogate at byte 13");
+    ("\"\\ude00\"", "unpaired surrogate at byte 7");
+    ("\"\\ud83d\\", "expected 'u', found end of input at byte 8");
+    ("\"a\nb\"", "raw control character in string at byte 2");
+    ("\"\001\"", "raw control character in string at byte 1");
+    ("\"\000\"", "raw control character in string at byte 1");
+    ("\000", "unexpected character '\000' at byte 0");
+    ("\"tab\there\"", "raw control character in string at byte 4");
+    ("{\"k\001\":1}", "raw control character in string at byte 3");
+    ("-", "malformed number at byte 1");
+    ("01", "trailing garbage at byte 1");
+    ("1.", "malformed number: no digits after '.' at byte 2");
+    ("1e", "malformed number: empty exponent at byte 2");
+    ("1e+", "malformed number: empty exponent at byte 3");
+    ("-01", "trailing garbage at byte 2");
+    (".5", "unexpected character '.' at byte 0");
+    ("+1", "unexpected character '+' at byte 0");
+    ("0x1", "trailing garbage at byte 1");
+    ("1.e5", "malformed number: no digits after '.' at byte 2");
+    ("-a", "malformed number at byte 1");
+    ("[1.]", "malformed number: no digits after '.' at byte 3");
+    ("{\"h\":1e}", "malformed number: empty exponent at byte 7");
+    (nest "[" (fun n -> String.make n ']') 64, "ok");
+    (nest "[" (fun n -> String.make n ']') 65, "nesting too deep at byte 64");
+    (nest "{\"a\":" (fun n -> "1" ^ String.make n '}') 65, "nesting too deep at byte 320");
+    ("{}x", "trailing garbage at byte 2");
+    ("1 2", "trailing garbage at byte 2");
+    ("[1] ]", "trailing garbage at byte 4");
+    ("true false", "trailing garbage at byte 5");
+    ("{\"op\":\"admit\"} {", "trailing garbage at byte 15");
+    ("", "unexpected end of input at byte 0");
+    ("   ", "unexpected end of input at byte 3");
+    ("tru", "expected 'e', found end of input at byte 3");
+    ("nul", "expected 'l', found end of input at byte 3");
+    ("{\"a\" 1}", "expected ':', found '1' at byte 5");
+    ("{\"a\":1,}", "expected '\"', found '}' at byte 7");
+    ("[1,]", "unexpected character ']' at byte 3");
+    ("[1 2]", "expected ',' or ']' at byte 3");
+    ("{1:2}", "expected '\"', found '1' at byte 1");
+    ("nan", "expected 'u', found 'a' at byte 1");
+    ("Infinity", "unexpected character 'I' at byte 0");
+    ("[", "unexpected end of input at byte 1");
+    ("{", "expected '\"', found end of input at byte 1");
+    ("{\"a\":", "unexpected end of input at byte 5");
+  ]
+
+let test_sjson_error_text () =
+  List.iter
+    (fun (line, want) ->
+      let got = match Sjson.parse line with Ok _ -> "ok" | Error m -> m in
+      check Alcotest.string (String.escaped line) want got)
+    sjson_error_corpus
+
+(* A random byte string, written as a JSON literal with each byte
+   either raw (where JSON allows it), as its short escape or as \u00XX,
+   and with random code points spliced in as \u escapes (surrogate
+   pairs above the BMP): it must decode to exactly the bytes meant. *)
+let gen_escaped_string =
+  QCheck.Gen.(
+    let piece =
+      oneof
+        [
+          map
+            (fun (c, how) ->
+              let raw = String.make 1 c in
+              let lit =
+                match (c, how mod 3) with
+                | '"', 0 -> "\\\""
+                | '\\', 0 -> "\\\\"
+                | '\n', 0 -> "\\n"
+                | '\t', 0 -> "\\t"
+                | '/', 0 -> "\\/"
+                | '\b', 0 -> "\\b"
+                | '\012', 0 -> "\\f"
+                | '\r', 0 -> "\\r"
+                | c, 1 when Char.code c < 0x80 -> Printf.sprintf "\\u%04X" (Char.code c)
+                | c, _ when Char.code c < 0x20 || c = '"' || c = '\\' ->
+                  Printf.sprintf "\\u%04x" (Char.code c)
+                | c, _ -> String.make 1 c
+              in
+              (raw, lit))
+            (pair (map Char.chr (int_bound 255)) (int_bound 2));
+          map
+            (fun cp ->
+              let cp = if cp >= 0xD800 && cp <= 0xDFFF then cp + 0x800 else cp in
+              let b = Buffer.create 4 in
+              Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+              let lit =
+                if cp < 0x10000 then Printf.sprintf "\\u%04x" cp
+                else
+                  let v = cp - 0x10000 in
+                  Printf.sprintf "\\u%04X\\u%04x" (0xD800 lor (v lsr 10)) (0xDC00 lor (v land 0x3FF))
+              in
+              (Buffer.contents b, lit))
+            (int_bound 0x10FFFF);
+        ]
+    in
+    map
+      (fun ps -> (String.concat "" (List.map fst ps), "\"" ^ String.concat "" (List.map snd ps) ^ "\""))
+      (list_size (int_bound 24) piece))
+
+let prop_sjson_escapes =
+  QCheck.Test.make ~name:"sjson decodes random escapes to the bytes meant" ~count:(Qc.count 500)
+    (QCheck.make ~print:(fun (v, lit) -> String.escaped v ^ " <- " ^ lit) gen_escaped_string)
+    (fun (value, lit) ->
+      match Sjson.parse lit with
+      | Ok (Sjson.Str s) -> String.equal s value
+      | Ok _ | Error _ -> false)
+
 (* ---------------- protocol ---------------- *)
 
 let admit_line = "{\"op\":\"admit\",\"id\":\"q\",\"h\":4,\"u0\":0.2,\"uc\":0.1,\"deadline\":25}"
@@ -230,6 +363,84 @@ let test_protocol_render_round_trip () =
   | Some (Sjson.Obj [ ("serve.requests", Sjson.Num 3.) ]) -> ()
   | _ -> Alcotest.fail "stats counters object"
 
+(* Every renderer against the list-and-concatenation one it replaced
+   (test/oracle): random floats including NaN, the infinities, -0.0,
+   subnormals and integers; ids, details and keys with quotes,
+   backslashes, control bytes and non-ASCII bytes; with and without the
+   id and trace fields. *)
+let gen_render_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 50.; 1e16; 1e17; 5e-324;
+            Float.min_float; Float.max_float; 0.1; 1. /. 3. ];
+        map Int64.float_of_bits ui64;
+        map float_of_int (int_range (-100_000) 100_000);
+        float_range (-1e3) 1e3;
+        map (fun x -> x *. 1e-310) (float_bound_inclusive 1.);
+      ])
+
+let gen_render_text =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ map Char.chr (int_bound 255); oneofl [ '"'; '\\'; '\n'; '\000'; 'a' ] ])
+      (int_bound 16))
+
+type render_case = {
+  r_id : string option;
+  r_trace : string option;
+  r_text : string;
+  r_texts : string list;
+  r_floats : float array;
+  r_ints : int array;
+  r_bools : bool array;
+  r_kind : P.error_kind;
+  r_counters : (string * int) list;
+}
+
+let gen_render_case =
+  QCheck.Gen.(
+    let* r_id = opt gen_render_text in
+    let* r_trace = opt gen_render_text in
+    let* r_text = gen_render_text in
+    let* r_texts = list_size (int_bound 4) gen_render_text in
+    let* r_floats = array_repeat 3 gen_render_float in
+    let* r_ints = array_repeat 9 (int_range (-1_000_000) 1_000_000) in
+    let* r_bools = array_repeat 3 bool in
+    let* r_kind =
+      oneofl
+        [ P.Parse_error; P.Invalid_request; P.Unstable; P.Contract_violation; P.Overloaded;
+          P.Deadline_exceeded; P.Internal ]
+    in
+    let+ r_counters = list_size (int_bound 4) (pair gen_render_text small_signed_int) in
+    { r_id; r_trace; r_text; r_texts; r_floats; r_ints; r_bools; r_kind; r_counters })
+
+module type RENDER = module type of Oracle.Render
+
+let renders (module R : RENDER) c =
+  let id = c.r_id and trace = c.r_trace and f = c.r_floats and n = c.r_ints in
+  [
+    R.render_admit ?id ?trace ~admitted:c.r_bools.(0) ~bound_ms:f.(0) ~deadline_ms:f.(1)
+      ~mode:(if c.r_bools.(1) then P.Exact else P.Approx) ~cache_hit:c.r_bools.(2)
+      ~elapsed_ms:f.(2) ();
+    R.render_check ?id ?trace ~findings:c.r_texts ();
+    R.render_error ?id ?trace ~kind:c.r_kind ~detail:c.r_text ();
+    R.render_shed ?id ?trace ~retry_after_ms:f.(0) ();
+    R.render_timeout ?id ?trace ~elapsed_ms:f.(1) ~budget_ms:f.(2) ();
+    R.render_stats ?id ?trace ~uptime_s:f.(0) ~served:n.(0) ~cache_len:n.(1)
+      ~cache_capacity:n.(2) ~cache_hits:(abs n.(3)) ~cache_misses:(abs n.(4)) ~shed:n.(5)
+      ~timeouts:n.(6) ~errors:n.(7) ~counters:c.r_counters ();
+    R.render_health ?id ?trace ~uptime_s:f.(1) ();
+    R.render_metrics ?id ?trace ~prometheus:c.r_text ();
+  ]
+
+let prop_render_matches_oracle =
+  QCheck.Test.make ~name:"protocol renders match the reference byte for byte"
+    ~count:(Qc.count 500)
+    (QCheck.make gen_render_case)
+    (fun c ->
+      List.for_all2 String.equal (renders (module P : RENDER) c) (renders (module Oracle.Render) c))
+
 (* ---------------- cache ---------------- *)
 
 let test_cache_lru () =
@@ -304,6 +515,49 @@ let test_engine_admit_and_cache () =
     (num_field j1 "bound_ms") (num_field j2 "bound_ms");
   check Alcotest.int "one shape cached" 1 (Engine.cache_length e);
   check Alcotest.int "served" 2 (Engine.served e)
+
+(* Cache keys are bit patterns: equal parameters share a key, while
+   -0.0 and 0.0, or EDF gaps one ulp apart, do not — the same classes
+   as the [%h] text keys they replaced. *)
+let test_engine_cache_keys () =
+  let base =
+    {
+      P.h = 4;
+      u_through = 0.25;
+      u_cross = 0.3;
+      epsilon = 1e-9;
+      deadline = 50.;
+      scheduler = P.Fifo;
+      budget_ms = None;
+    }
+  in
+  let key p = Engine.key_of p (Engine.two_class_of p) in
+  let same name a b = check Alcotest.bool name true (String.equal a b) in
+  let differ name a b = check Alcotest.bool name false (String.equal a b) in
+  same "equal parameters, equal keys" (key base) (key { base with P.u_through = 0.5 /. 2. });
+  same "deadline and budget are not in a FIFO key" (key base)
+    (key { base with P.deadline = 70.; budget_ms = Some 3. });
+  differ "-0.0 and 0.0 u0" (key { base with P.u_through = 0. })
+    (key { base with P.u_through = -0. });
+  differ "u0 one ulp apart" (key base) (key { base with P.u_through = Float.succ 0.25 });
+  differ "uc" (key base) (key { base with P.u_cross = 0.31 });
+  differ "eps" (key base) (key { base with P.epsilon = 1e-6 });
+  differ "h" (key base) (key { base with P.h = 5 });
+  differ "scheduler" (key base) (key { base with P.scheduler = P.Bmux });
+  let gap g = Engine.key_of base (Scheduler.Classes.Edf_gap g) in
+  same "equal gaps" (gap (-45.)) (gap (-90. /. 2.));
+  differ "EDF gaps one ulp apart" (gap (-45.)) (gap (Float.succ (-45.)));
+  differ "-0.0 and 0.0 gap" (gap 0.) (gap (-0.));
+  differ "EDF gap 0 is not FIFO" (gap 0.) (key base);
+  (* through the engine: a repeat is a hit, -0.0 gets its own entry *)
+  let e = mk_engine () in
+  let line u0 = Printf.sprintf "{\"op\":\"admit\",\"h\":3,\"u0\":%s,\"uc\":0.2,\"deadline\":500}" u0 in
+  let cache u0 = str_field (parse_resp (Engine.handle_line e (line u0))) "cache" in
+  check Alcotest.string "first 0.0" "miss" (cache "0.0");
+  check Alcotest.string "0 repeats 0.0" "hit" (cache "0");
+  check Alcotest.string "-0.0 is its own shape" "miss" (cache "-0.0");
+  check Alcotest.string "-0.0 repeats" "hit" (cache "-0");
+  check Alcotest.int "two entries" 2 (Engine.cache_length e)
 
 let test_engine_degrade_and_soundness () =
   let e = mk_engine () in
@@ -653,18 +907,22 @@ let suite =
     Alcotest.test_case "sjson strings" `Quick test_sjson_strings;
     Alcotest.test_case "sjson duplicate keys" `Quick test_sjson_member;
     Alcotest.test_case "sjson rejects" `Quick test_sjson_rejects;
+    Alcotest.test_case "sjson error text is pinned" `Quick test_sjson_error_text;
+    QCheck_alcotest.to_alcotest prop_sjson_escapes;
     Alcotest.test_case "protocol admit defaults" `Quick test_protocol_admit_defaults;
     Alcotest.test_case "protocol numeric id" `Quick test_protocol_numeric_id;
     Alcotest.test_case "protocol edf" `Quick test_protocol_edf;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
     Alcotest.test_case "protocol exit hints" `Quick test_protocol_exit_hints;
     Alcotest.test_case "protocol render round trip" `Quick test_protocol_render_round_trip;
+    QCheck_alcotest.to_alcotest prop_render_matches_oracle;
     Alcotest.test_case "cache LRU semantics" `Quick test_cache_lru;
     Alcotest.test_case "cache mem is pure" `Quick test_cache_mem_no_refresh;
     Alcotest.test_case "cache validation" `Quick test_cache_validation;
     Alcotest.test_case "cache bounded soak" `Quick test_cache_soak;
     Alcotest.test_case "engine config validation" `Quick test_engine_validation;
     Alcotest.test_case "engine admit + cache hit" `Quick test_engine_admit_and_cache;
+    Alcotest.test_case "engine cache keys are bit patterns" `Quick test_engine_cache_keys;
     Alcotest.test_case "engine degrade soundness" `Quick test_engine_degrade_and_soundness;
     Alcotest.test_case "engine sheds past the queue bound" `Quick test_engine_shed;
     Alcotest.test_case "engine timeout warms the cache" `Quick test_engine_timeout_warms_cache;

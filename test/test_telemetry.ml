@@ -131,8 +131,16 @@ let test_json_emission () =
     (Telemetry.Json.escape "a\"b\\c\n");
   check Alcotest.string "object/array composition"
     "{\"xs\":[1,2],\"ok\":true}"
-    (Telemetry.Json.obj
-       [ ("xs", Telemetry.Json.arr [ "1"; "2" ]); ("ok", "true") ])
+    (Telemetry.Json.(
+       to_string (fun b ->
+           obj b (fun b ->
+               arr_field b "xs" (fun b ->
+                   List.iter
+                     (fun x ->
+                       sep b;
+                       add_number b x)
+                     [ 1.; 2. ]);
+               bool_field b "ok" true))))
 
 (* ---------------- checkpoint schema gate ---------------- *)
 
