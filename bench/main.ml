@@ -256,38 +256,40 @@ let fig4 ~short () =
 
 (* ---------------------------------------------------------------- *)
 (* Extension experiment (not in the paper): several cross classes with
-   differentiated EDF deadline tiers at every node, via the Multiclass
-   generalization of Theorem 1 / Eq. 38. *)
+   differentiated EDF deadline tiers at every node, through the
+   several-class node model of E2e (Theorem 1 / Eq. 38). *)
 
 let extension ~short () =
-  Fmt.pr "@.== Extension: deadline-tiered cross traffic (Multiclass) ==@.";
+  Fmt.pr "@.== Extension: deadline-tiered cross traffic (several classes per node) ==@.";
   Fmt.pr "   (through 15%%; cross 35%% split urgent/normal/bulk 10/15/10;@.";
   Fmt.pr "    deltas +5 / 0 / -20 ms; eps = 1e-9)@.@.";
   Fmt.pr "  %4s %12s %12s %12s@." "H" "tiered" "all-FIFO" "all-BMUX";
-  let rows = ref [] in
+  let rows = ref [] and bad = ref [] in
   List.iter
     (fun h ->
       let rho u = u *. 100. in
-      let mk cross =
-        Deltanet.Multiclass.v ~h ~capacity:100. ~cross
-          ~through:(Envelope.Ebb.v ~m:1. ~rho:(rho 0.15) ~alpha:1.)
-      in
       (* use a fixed EBB decay for comparability across schedulers *)
+      let bound classes =
+        Deltanet.E2e.delay_bound ~epsilon:1e-9
+          (Deltanet.E2e.homogeneous_classes ~h ~capacity:100. ~classes
+             ~through:(Envelope.Ebb.v ~m:1. ~rho:(rho 0.15) ~alpha:1.))
+      in
       let tiered =
-        Deltanet.Multiclass.delay_bound ~epsilon:1e-9
-          (mk
-             [
-               { Deltanet.Multiclass.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin 5. };
-               { Deltanet.Multiclass.rho = rho 0.15; m = 1.; delta = Scheduler.Delta.Fin 0. };
-               { Deltanet.Multiclass.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
-             ])
+        bound
+          [
+            { Deltanet.E2e.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin 5. };
+            { Deltanet.E2e.rho = rho 0.15; m = 1.; delta = Scheduler.Delta.Fin 0. };
+            { Deltanet.E2e.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
+          ]
       in
-      let uniform delta =
-        Deltanet.Multiclass.delay_bound ~epsilon:1e-9
-          (mk [ { Deltanet.Multiclass.rho = rho 0.35; m = 1.; delta } ])
-      in
+      let uniform delta = bound [ { Deltanet.E2e.rho = rho 0.35; m = 1.; delta } ] in
       let fifo = uniform (Scheduler.Delta.Fin 0.) in
       let bmux = uniform Scheduler.Delta.Pos_inf in
+      if not (List.for_all Float.is_finite [ tiered; fifo; bmux ]) then
+        bad := Fmt.str "H=%d: non-finite cell" h :: !bad
+      else if tiered < Float.max fifo bmux then
+        bad :=
+          Fmt.str "H=%d: tiered %g below max(FIFO %g, BMUX %g)" h tiered fifo bmux :: !bad;
       rows := [ float_of_int h; tiered; fifo; bmux ] :: !rows;
       Fmt.pr "  %4d %s %s %s@." h (pr_cell tiered) (pr_cell fifo) (pr_cell bmux))
     (if short then [ 2; 5 ] else [ 2; 5; 10; 20 ]);
@@ -297,7 +299,10 @@ let extension ~short () =
   Fmt.pr "   preempts the through traffic, and every extra class pays its own@.";
   Fmt.pr "   sample-path slack and union bound — the price of per-class@.";
   Fmt.pr "   accounting.  Machinery is the paper's Theorem 1; the sweep is an@.";
-  Fmt.pr "   extension (generic EBB workload at fixed decay 1/kb).@."
+  Fmt.pr "   extension (generic EBB workload at fixed decay 1/kb).@.";
+  (* the ordering above is the finding this section publishes *)
+  List.iter (fun m -> Fmt.epr "FATAL: extension %s@." m) (List.rev !bad);
+  if !bad <> [] then (exit [@lint.allow "raw-exit"]) 1
 
 (* ---------------------------------------------------------------- *)
 (* Ablations of the design choices called out in DESIGN.md:
@@ -566,17 +571,16 @@ let micro ~short () =
   in
   run "markov_eb" light (fun () -> Envelope.Markov.effective_bandwidth chain ~s:1.);
   let mp =
-    Deltanet.Multiclass.v ~h:5 ~capacity:100.
-      ~cross:
+    Deltanet.E2e.homogeneous_classes ~h:5 ~capacity:100.
+      ~classes:
         [
-          { Deltanet.Multiclass.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin 5. };
-          { Deltanet.Multiclass.rho = 15.; m = 1.; delta = Scheduler.Delta.Fin 0. };
-          { Deltanet.Multiclass.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
+          { Deltanet.E2e.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin 5. };
+          { Deltanet.E2e.rho = 15.; m = 1.; delta = Scheduler.Delta.Fin 0. };
+          { Deltanet.E2e.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
         ]
       ~through:(Envelope.Ebb.v ~m:1. ~rho:15. ~alpha:0.8)
   in
-  run "multiclass_h5" light (fun () ->
-      Deltanet.Multiclass.delay_given mp ~gamma:0.5 ~sigma:300.);
+  run "multiclass_h5" light (fun () -> Deltanet.E2e.delay_given mp ~gamma:0.5 ~sigma:300.);
   run "backlog_curve_h5" mid (fun () ->
       Deltanet.E2e.backlog_given path ~gamma:0.5 ~sigma)
 

@@ -1,18 +1,19 @@
 (** Probabilistic end-to-end delay bounds for ∆-schedulers over a multi-node
     path — Section IV of the paper.
 
-    The through flow is EBB [(m, rho, alpha)]; the cross aggregate at node
-    [h] is EBB [(cross_m, cross_rho, alpha)] (a common decay [alpha], as in
-    the paper where both sides are characterized by the same effective
-    bandwidth parameter).  Per-node sample-path envelopes use a slack rate
-    [gamma]; composing the [H] per-node service curves (Eq. 28) into a
-    network service curve (Eq. 30) costs a rate degradation of [gamma] per
-    node and yields the closed-form bounding function of Eq. (34).  The
-    delay bound is the optimization problem of Eq. (38),
+    The through flow is EBB [(m, rho, alpha)]; node [h] carries cross
+    classes [k], EBB [(m_k, rho_k, alpha)] with precedence constants
+    [∆_k] (a common decay [alpha], as in the paper where both sides are
+    characterized by the same effective bandwidth parameter).  Per-node
+    sample-path envelopes use a slack rate [gamma]; composing the [H]
+    per-node service curves (Eq. 28) into a network service curve (Eq.
+    30) costs a rate degradation of [gamma] per node and yields the
+    closed-form bounding function of Eq. (34).  The delay bound is the
+    optimization problem of Eq. (38),
 
     minimize [X +. sum_h theta_h] subject to
     [(C -. (h-1) gamma) (X +. theta_h)
-       -. (cross_rho +. gamma) (X +. ∆(theta_h))_+ >= sigma],
+       -. sum_k (rho_k +. gamma) (X +. ∆_k(theta_h))_+ >= sigma],
 
     solved exactly here (the objective is piecewise linear in [X] once each
     [theta_h] is taken as the smallest feasible solution, so enumerating
@@ -20,17 +21,30 @@
     paper's explicit near-optimal K-procedure (Eq. 40–42) and the closed
     forms for blind multiplexing (Eq. 43) and FIFO (Eq. 44). *)
 
-type node = {
-  capacity : float;
-  cross_rho : float;
-  cross_m : float;
-  delta : Scheduler.Delta.t;  (** [∆_{0,c}] at this node *)
+type cross_class = {
+  rho : float;  (** EBB rate of the class aggregate *)
+  m : float;  (** EBB prefactor *)
+  delta : Scheduler.Delta.t;  (** [∆_{0,k}]; [Neg_inf]: never precedes the through flow *)
 }
 
-type path = {
+type node = {
+  capacity : float;
+  cross : cross_class array;  (** empty, or all [Neg_inf]: strict priority for the through flow *)
+}
+
+type view
+(** A node's active classes as Eq. 38 reads them, cached by the constructors. *)
+
+type path = private {
   nodes : node array;
   through : Envelope.Ebb.t;
+  views : view array;
 }
+
+val v : nodes:node array -> through:Envelope.Ebb.t -> path
+(** The checked constructor every path is built by (copies its arrays).
+    @raise Invalid_argument on an empty node array, a non-finite or
+    non-positive capacity, or a negative or NaN class [rho] or [m]. *)
 
 val homogeneous :
   h:int ->
@@ -39,17 +53,28 @@ val homogeneous :
   delta:Scheduler.Delta.t ->
   through:Envelope.Ebb.t ->
   path
-(** @raise Invalid_argument if [h <= 0] or the EBB decays differ. *)
+(** @raise Invalid_argument if [h <= 0], the EBB decays differ, or {!v}
+    rejects the node. *)
+
+val homogeneous_classes :
+  h:int -> capacity:float -> classes:cross_class list -> through:Envelope.Ebb.t -> path
+(** [h] identical nodes, each carrying every class of [classes] (e.g.
+    EDF deadline tiers).  Splitting an aggregate into classes is
+    conservative: each class pays its own slack [gamma] and union bound.
+    @raise Invalid_argument if [h <= 0] or {!v} rejects the node. *)
 
 val hop_count : path -> int
 
 val gamma_max : path -> float
-(** Largest admissible slack rate, [min_h (C_h -. rho_c^h -. rho) /. (H+1)]
-    (Eq. 32); non-positive means the path is overloaded. *)
+(** Largest admissible slack rate, [min_h (C_h -. sum_k rho_k^h -. rho)
+    /. (H+1)] over the active classes (Eq. 32); non-positive means the
+    path is overloaded. *)
 
 val total_bound : path -> gamma:float -> Envelope.Exponential.t
 (** The end-to-end violation bounding function: the through envelope bound
-    combined with the network service bound of Eq. (31)/(34). *)
+    combined with the network service bound of Eq. (31)/(34), each node's
+    bound the optimal combination of its class bounds (Theorem 1; decay
+    [alpha / k] for [k] classes). *)
 
 val sigma_for : path -> gamma:float -> epsilon:float -> float
 (** Invert {!total_bound} at the target violation probability. *)
@@ -66,16 +91,17 @@ val objective : path -> gamma:float -> sigma:float -> float -> float
 val x_candidates : path -> gamma:float -> sigma:float -> float list
 (** The kink abscissae of [X -> objective X] (plus [0.]), sorted and
     deduplicated: the objective's minimum over [X >= 0.] is attained at
-    one of them. *)
+    one of them; a node with [P] classes of [∆ >= 0] and [N] of
+    [∆ < 0] contributes at most [(1 + P)(1 + N) + N]. *)
 
 (** The compiled zero-allocation Eq.-38 solver — the one evaluator
     behind every delay search.
 
     [make] flattens a path into plain float/int arrays once; [set]
     compiles the per-node constants ([c_h], [margin_h], clipped-∆ case
-    tags) for one [(gamma, sigma)] and writes the candidate abscissae
-    into a reusable scratch buffer sorted in place; [delay] then folds
-    the objective node-major over a preallocated accumulator row with
+    tags, several-class theta rows) for one [(gamma, sigma)] and writes the
+    candidate abscissae into a scratch buffer sorted in place; [delay]
+    then folds the objective node-major over a preallocated accumulator row with
     no allocation and no variant matching.  Every float expression
     mirrors {!x_candidates} / {!objective} / {!sigma_for} operation for
     operation, so results are {b bit-identical} to the list forms
@@ -83,8 +109,8 @@ val x_candidates : path -> gamma:float -> sigma:float -> float list
     [delay], [sigma_for], [delay_at_gamma] and [run_gammas] are
     allocation-free (enforced by the zero_alloc analyzer).
 
-    Concurrency: [set]/[delay]/[optimal_thetas] mutate the kernel, so a
-    kernel must be driven from one domain at a time; {!Kernel.sigma_for}
+    Concurrency: [set]/[delay] mutate the kernel, so a kernel must be
+    driven from one domain at a time; {!Kernel.sigma_for}
     only reads immutable state and may be shared across domains. *)
 module Kernel : sig
   type t
@@ -97,9 +123,6 @@ module Kernel : sig
 
   val delay : t -> float
   (** {!delay_given} over the compiled state. *)
-
-  val optimal_thetas : t -> float array * float
-  (** The minimizing [(thetas, X)] over the compiled state. *)
 
   val sigma_for : t -> gamma:float -> epsilon:float -> float
   (** {!sigma_for} with the shared-decay geometric sums folded into one
@@ -169,8 +192,7 @@ val delay_bound : ?gamma_points:int -> epsilon:float -> path -> float
 val with_gamma_range :
   who:string -> epsilon:float -> float -> (lo:float -> hi:float -> float) -> float
 (** [with_gamma_range ~who ~epsilon gmax search] is the shared entry of
-    every gamma search, in this module, {!Additive} and {!Multiclass}:
-    it rejects
+    every gamma search, in this module and {!Additive}: it rejects
     [epsilon] outside (0, 1), NaN included, with
     [Invalid_argument (who ^ ": epsilon out of range")], returns
     [infinity] when [gmax <= 0.] (an overloaded path), and otherwise runs
@@ -178,12 +200,12 @@ val with_gamma_range :
 
 (** {1 Closed forms and the paper's explicit procedure}
 
-    These require a homogeneous path and are used to cross-validate
-    {!delay_given}. *)
+    These require a homogeneous path with one cross class per node, and
+    are used to cross-validate {!delay_given}. *)
 
 val is_homogeneous : path -> bool
-(** Every node shares [capacity], [cross_rho] and [delta] (the inputs
-    Eq. 38 actually reads) with node 0. *)
+(** Every node has one cross class and shares [capacity], its [rho] and
+    [delta] (the inputs Eq. 38 actually reads) with node 0. *)
 
 val smallest_k :
   extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
@@ -218,7 +240,8 @@ val delay_given_fast : path -> gamma:float -> sigma:float -> float
 val delay_bound_fast : ?gamma_points:int -> epsilon:float -> path -> float
 (** {!delay_bound} evaluated through {!delay_given_fast}: on homogeneous
     paths the whole gamma search costs O(H) per point instead of O(H^3).
-    Falls back to {!delay_bound} on heterogeneous paths.
+    Falls back to {!delay_bound} on every other path (heterogeneous, or
+    with a several-class node).
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 
 val delay_bound_cached :

@@ -16,22 +16,9 @@ let delay_given p ~gamma ~sigma =
     (fun acc x -> Float.min acc (E2e.objective p ~gamma ~sigma x))
     Float.infinity cands
 
-let optimal_thetas p ~gamma ~sigma =
-  let cands = E2e.x_candidates p ~gamma ~sigma in
-  if !Telemetry.on then
-    Telemetry.Counter.add c_objective_evals (List.length cands + 1);
-  let best =
-    List.fold_left
-      (fun (bx, bv) x ->
-        let v = E2e.objective p ~gamma ~sigma x in
-        if v < bv then (x, v) else (bx, bv))
-      (0., E2e.objective p ~gamma ~sigma 0.)
-      cands
-  in
-  let x = fst best in
-  (Array.init (E2e.hop_count p) (fun h -> E2e.theta_of_x p ~gamma ~sigma ~x h), x)
-
 let sigma_for = E2e.sigma_for
+
+module Multiclass = Multiclass
 
 (* O(H^2): [suffix_sum] re-walks the tail for every candidate K. *)
 let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =

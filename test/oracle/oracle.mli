@@ -7,13 +7,12 @@
 val delay_given : Deltanet.E2e.path -> gamma:float -> sigma:float -> float
 (** Minimum of Eq. (38): fold [Float.min] over the candidate abscissae. *)
 
-val optimal_thetas :
-  Deltanet.E2e.path -> gamma:float -> sigma:float -> float array * float
-(** The minimizing [(thetas, X)]: the first strict minimum over X = 0
-    then the candidates. *)
-
 val sigma_for : Deltanet.E2e.path -> gamma:float -> epsilon:float -> float
 (** {!Deltanet.E2e.sigma_for}: invert the list-built bounding function. *)
+
+module Multiclass = Multiclass
+(** The bisection-based multi-class solver, the differential oracle for
+    paths with several cross classes per node. *)
 
 val smallest_k :
   extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int

@@ -5,7 +5,6 @@
 module E2e = Deltanet.E2e
 module Scenario = Deltanet.Scenario
 module Additive = Deltanet.Additive
-module Multiclass = Deltanet.Multiclass
 module Delta = Scheduler.Delta
 module Classes = Scheduler.Classes
 module Ebb = Envelope.Ebb
@@ -183,13 +182,12 @@ let test_heterogeneous_path () =
   (* Per-node capacities and deltas; the bound must still be finite and
      dominated by the weakest node's homogeneous bound. *)
   let through = Ebb.v ~m:1. ~rho:10. ~alpha:1. in
-  let mk cap rho_c delta = { E2e.capacity = cap; cross_rho = rho_c; cross_m = 1.; delta } in
+  let mk capacity rho delta = { E2e.capacity; cross = [| { E2e.rho; m = 1.; delta } |] } in
   let p =
-    {
-      E2e.nodes =
-        [| mk 100. 30. (Delta.Fin 0.); mk 80. 20. Delta.Pos_inf; mk 120. 50. (Delta.Fin (-3.)) |];
-      through;
-    }
+    E2e.v
+      ~nodes:
+        [| mk 100. 30. (Delta.Fin 0.); mk 80. 20. Delta.Pos_inf; mk 120. 50. (Delta.Fin (-3.)) |]
+      ~through
   in
   let d = E2e.delay_bound ~epsilon:1e-9 p in
   Alcotest.(check bool) (Fmt.str "finite heterogeneous bound %g" d) true (Float.is_finite d);
@@ -363,29 +361,46 @@ let test_scenario_backlog () =
 
 let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* ∆ = 0 and the ±4 pair recur, so several-class nodes see duplicate ∆s *)
 let delta_gen =
   QCheck.Gen.(
     frequency
       [
         (1, return Delta.Neg_inf);
         (1, return Delta.Pos_inf);
+        (1, return (Delta.Fin 0.));
+        (1, oneofl [ Delta.Fin 4.; Delta.Fin (-4.) ]);
         (2, map (fun d -> Delta.Fin d) (float_range (-30.) 30.));
       ])
 
+(* One node with 1 class (two draws in three) or 2–4 classes whose
+   rates sum to at most 40. *)
 let node_gen =
   QCheck.Gen.(
-    map
-      (fun (capacity, cross_rho, cross_m, delta) ->
-        { E2e.capacity; cross_rho; cross_m; delta })
-      (quad (float_range 60. 150.) (float_range 0.5 40.) (float_range 0.5 3.) delta_gen))
+    frequency [ (2, return 1); (1, int_range 2 4) ] >>= fun k ->
+    let class_gen =
+      map
+        (fun (rho, m, delta) -> { E2e.rho; m; delta })
+        (triple (float_range 0.5 (40. /. float_of_int k)) (float_range 0.5 3.) delta_gen)
+    in
+    map (fun (capacity, cross) -> { E2e.capacity; cross })
+      (pair (float_range 60. 150.) (array_repeat k class_gen)))
 
 let print_node (nd : E2e.node) =
-  Fmt.str "{C=%g rho_c=%g m=%g d=%a}" nd.E2e.capacity nd.E2e.cross_rho nd.E2e.cross_m
-    Delta.pp nd.E2e.delta
+  Fmt.str "{C=%g %s}" nd.E2e.capacity
+    (String.concat " "
+       (Array.to_list
+          (Array.map
+             (fun (k : E2e.cross_class) ->
+               Fmt.str "(rho=%g m=%g d=%a)" k.E2e.rho k.E2e.m Delta.pp k.E2e.delta)
+             nd.E2e.cross)))
 
-(* A random heterogeneous path (mixed SP/FIFO/EDF/BMUX deltas, H in
-   1..20) plus a gamma fraction and a sigma offset.  The generator keeps
-   [C -. rho_c -. rho >= 5] at every node, so [gamma_max > 0] always. *)
+let print_nodes p = String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes))
+
+(* A random heterogeneous path (mixed SP/FIFO/EDF/BMUX deltas, one to
+   four classes per node, H in 1..20) plus a gamma fraction and a sigma
+   offset.  The generator keeps [C -. sum rho_k -. rho >= 5] at every
+   node, so [gamma_max > 0] always. *)
 let path_arb =
   let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
   let gen =
@@ -393,18 +408,15 @@ let path_arb =
       int_range 1 20 >>= fun h ->
       array_repeat h node_gen >>= fun nodes ->
       pair (float_range 1e-4 0.9) (float_range 0. 500.)
-      >>= fun (u, extra) -> return ({ E2e.nodes; through }, u, extra))
+      >>= fun (u, extra) -> return (E2e.v ~nodes ~through, u, extra))
   in
   let print (p, u, extra) =
-    Fmt.str "H=%d u=%g extra=%g nodes=[%s]"
-      (Array.length p.E2e.nodes)
-      u extra
-      (String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes)))
+    Fmt.str "H=%d u=%g extra=%g nodes=[%s]" (E2e.hop_count p) u extra (print_nodes p)
   in
   QCheck.make ~print gen
 
-(* A random mixed-∆ path plus a sequence of (γ fraction, σ offset)
-   points, unsorted in both coordinates: one kernel is reused across the
+(* A random mixed-∆ path (one to four classes per node) plus a sequence
+   of (γ fraction, σ offset) points, unsorted in both coordinates: one kernel is reused across the
    whole sequence, so [set] must fully overwrite whatever the previous,
    arbitrarily different point left in the scratch arrays. *)
 let kernel_arb =
@@ -414,21 +426,21 @@ let kernel_arb =
       int_range 1 20 >>= fun h ->
       array_repeat h node_gen >>= fun nodes ->
       list_size (int_range 1 6) (pair (float_range 1e-4 0.95) (float_range 0. 500.))
-      >>= fun pts -> return ({ E2e.nodes; through }, pts))
+      >>= fun pts -> return (E2e.v ~nodes ~through, pts))
   in
   let print (p, pts) =
-    Fmt.str "H=%d points=[%s] nodes=[%s]"
-      (Array.length p.E2e.nodes)
+    Fmt.str "H=%d points=[%s] nodes=[%s]" (E2e.hop_count p)
       (String.concat "; " (List.map (fun (u, x) -> Fmt.str "(%g, %g)" u x) pts))
-      (String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes)))
+      (print_nodes p)
   in
   QCheck.make ~print gen
 
 (* The evaluator's contract: the compiled zero-allocation kernel replays
    the list-based oracle float-for-float — sigma_for, delay, the public
-   delay_given, optimal_thetas (X and every theta), delay_at_gamma and
-   run_gammas are bit-identical for every scheduler mix and every H,
-   with one kernel driven through a non-monotone (γ, σ) sequence. *)
+   delay_given, delay_at_gamma and run_gammas are bit-identical, and the
+   list-form optimal_thetas witness sums to the kernel's delay, for
+   every scheduler mix, every class count and every H, with one kernel
+   driven through a non-monotone (γ, σ) sequence. *)
 let prop_kernel_matches_reference =
   QCheck.Test.make ~name:"kernel = reference bit-for-bit (Eq. 38)" ~count:(Qc.count 400)
     kernel_arb
@@ -450,13 +462,10 @@ let prop_kernel_matches_reference =
           E2e.Kernel.set k ~gamma ~sigma;
           fail_if_ne "delay" i dref (E2e.Kernel.delay k);
           fail_if_ne "delay_given" i dref (E2e.delay_given p ~gamma ~sigma);
-          let (tref, xref) = Oracle.optimal_thetas p ~gamma ~sigma in
-          let (tker, xker) = E2e.Kernel.optimal_thetas k in
-          fail_if_ne "optimal X" i xref xker;
-          if Array.length tref <> Array.length tker then
-            QCheck.Test.fail_reportf "theta arity: %d vs %d" (Array.length tref)
-              (Array.length tker);
-          Array.iteri (fun j v -> fail_if_ne (Fmt.str "theta %d" j) i v tker.(j)) tref;
+          let (thetas, x) = E2e.optimal_thetas p ~gamma ~sigma in
+          if Array.length thetas <> E2e.hop_count p then
+            QCheck.Test.fail_reportf "theta arity: %d" (Array.length thetas);
+          fail_if_ne "witness X + thetas" i (Array.fold_left ( +. ) x thetas) (E2e.Kernel.delay k);
           fail_if_ne "delay_at_gamma" i
             (Oracle.delay_given p ~gamma ~sigma:sref)
             (E2e.Kernel.delay_at_gamma k ~gamma ~epsilon))
@@ -489,9 +498,7 @@ let homog_arb =
       return (E2e.homogeneous ~h ~capacity ~cross ~delta ~through, u, extra))
   in
   let print (p, u, extra) =
-    Fmt.str "H=%d u=%g extra=%g node=%s"
-      (Array.length p.E2e.nodes)
-      u extra
+    Fmt.str "H=%d u=%g extra=%g node=%s" (E2e.hop_count p) u extra
       (print_node p.E2e.nodes.(0))
   in
   QCheck.make ~print gen
@@ -516,7 +523,7 @@ let prop_k_procedure_vs_enumeration =
         QCheck.Test.fail_reportf "k_procedure %.17g below exact %.17g" kproc exact;
       (* exact (not just an upper bound) for the three named disciplines *)
       let must_be_exact =
-        match p.E2e.nodes.(0).E2e.delta with
+        match p.E2e.nodes.(0).E2e.cross.(0).E2e.delta with
         | Delta.Neg_inf | Delta.Pos_inf -> true
         | Delta.Fin d -> Float.equal d 0.
       in
@@ -532,16 +539,145 @@ let prop_k_procedure_vs_enumeration =
       end;
       true)
 
-(* On genuinely heterogeneous paths the fast path must fall back to the
-   kernel and reproduce delay_given bit-for-bit. *)
+(* The same node on every hop, carrying two to four classes: homogeneous
+   in shape, but not one class per node. *)
+let homog_classes_arb =
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 20 >>= fun h ->
+      node_gen >>= fun nd ->
+      pair (float_range 1e-4 0.9) (float_range 0. 500.) >>= fun (u, extra) ->
+      return (E2e.v ~nodes:(Array.make h nd) ~through, u, extra))
+  in
+  QCheck.make ~print:(fun (p, u, extra) ->
+      Fmt.str "H=%d u=%g extra=%g node=%s" (E2e.hop_count p) u extra
+        (print_node p.E2e.nodes.(0)))
+    gen
+
+(* On genuinely heterogeneous paths, and on paths with a several-class
+   node, the fast path must fall back to the kernel and reproduce
+   delay_given bit-for-bit. *)
 let prop_fast_path_heterogeneous_bitwise =
   QCheck.Test.make ~name:"delay_given_fast = delay_given on heterogeneous paths"
-    ~count:(Qc.count 200) path_arb
+    ~count:(Qc.count 200)
+    (QCheck.choose [ path_arb; homog_classes_arb ])
     (fun (p, u, extra) ->
       QCheck.assume (not (E2e.is_homogeneous p));
       let gamma = E2e.gamma_max p *. u in
       let sigma = Oracle.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
       bit_eq (E2e.delay_given_fast p ~gamma ~sigma) (E2e.delay_given p ~gamma ~sigma))
+
+(* Several classes per node against the bisection-based solver kept in
+   test/oracle: the same homogeneous path built through both. *)
+let classes_arb =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun h ->
+      int_range 2 4 >>= fun k ->
+      list_repeat k
+        (triple (float_range 0.5 (50. /. float_of_int k)) (float_range 0.5 3.) delta_gen)
+      >>= fun classes ->
+      pair (float_range 1e-3 0.9) (float_range 0. 300.) >>= fun (u, extra) ->
+      return (h, classes, u, extra))
+  in
+  let print (h, classes, u, extra) =
+    Fmt.str "H=%d u=%g extra=%g classes=[%s]" h u extra
+      (String.concat "; "
+         (List.map
+            (fun (rho, m, delta) -> Fmt.str "(rho=%g m=%g d=%a)" rho m Delta.pp delta)
+            classes))
+  in
+  QCheck.make ~print gen
+
+(* The kernel's exact kinks against the oracle's bisected ones.  The
+   oracle's theta on a segment past its last positive ∆ comes from a
+   finite-difference slope (step 1e-9 (1 + theta)), whose rounding error
+   reaches ~1e-5 relative; E2e's exact objective at the oracle's own best
+   scan point is never below the kernel's value, so those gaps are the
+   oracle's.  Hence [loose] against the oracle — against its bound and
+   a dense X scan of its theta sum — and [tight] against a dense scan of
+   E2e's list-form objective, which checks that no kink is missing. *)
+let prop_classes_match_oracle =
+  let module Mc = Oracle.Multiclass in
+  let tight = 1e-9 and loose = 1e-4 in
+  QCheck.Test.make ~name:"several classes per node = Multiclass oracle" ~count:(Qc.count 200)
+    classes_arb
+    (fun (h, classes, u, extra) ->
+      let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+      let p =
+        E2e.homogeneous_classes ~h ~capacity:100. ~through
+          ~classes:(List.map (fun (rho, m, delta) -> { E2e.rho; m; delta }) classes)
+      in
+      let pm =
+        Mc.v ~h ~capacity:100. ~through
+          ~cross:(List.map (fun (rho, m, delta) -> { Mc.rho; m; delta }) classes)
+      in
+      let gamma = E2e.gamma_max p *. u in
+      let sigma = E2e.sigma_for p ~gamma ~epsilon:1e-9 +. extra in
+      let d = E2e.delay_given p ~gamma ~sigma in
+      let dm = Mc.delay_given pm ~gamma ~sigma in
+      let above tol a b = a > b +. (tol *. (1. +. Float.abs b)) in
+      if above loose d dm || above loose dm d then
+        QCheck.Test.fail_reportf "kernel %.17g vs oracle %.17g" d dm;
+      if Float.is_finite d then begin
+        let xmax = 1.5 *. List.fold_left Float.max 1. (E2e.x_candidates p ~gamma ~sigma) in
+        let n = 2000 in
+        let scan = ref Float.infinity and scan_m = ref Float.infinity in
+        for i = 0 to n do
+          let x = xmax *. float_of_int i /. float_of_int n in
+          let v = ref x in
+          for j = 0 to h - 1 do
+            v := !v +. Mc.theta_of_x pm ~gamma ~sigma ~x j
+          done;
+          scan_m := Float.min !scan_m !v;
+          scan := Float.min !scan (E2e.objective p ~gamma ~sigma x)
+        done;
+        if above tight d !scan then
+          QCheck.Test.fail_reportf "kernel %.17g above the dense scan %.17g" d !scan;
+        if above loose d !scan_m then
+          QCheck.Test.fail_reportf "kernel %.17g above the oracle's dense scan %.17g" d !scan_m
+      end;
+      true)
+
+(* [Kernel.run_gammas] allocates a constant per γ point, whatever the
+   path: only the floats boxed across its internal calls, never per node,
+   per class or per candidate (the zero_alloc analyzer checks the source;
+   this checks the compiled code, where a closure or a float-taking helper
+   that is not inlined allocates on every call).  A 4-node path mixing
+   one-class and several-class nodes, and a 20-node several-class path. *)
+let test_kernel_allocation_constant () =
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+  let cls rho delta = { E2e.rho; m = 1.5; delta } in
+  let tiers = [| cls 10. Delta.Pos_inf; cls 8. (Delta.Fin 3.); cls 6. (Delta.Fin (-4.)) |] in
+  let mixed =
+    E2e.v ~through
+      ~nodes:
+        [|
+          { E2e.capacity = 100.; cross = [| cls 30. (Delta.Fin 0.) |] };
+          { E2e.capacity = 120.; cross = tiers };
+          { E2e.capacity = 90.; cross = [| cls 12. (Delta.Fin 0.); cls 9. (Delta.Fin 0.) |] };
+          { E2e.capacity = 110.; cross = [||] };
+        |]
+  in
+  let long = E2e.v ~through ~nodes:(Array.make 20 { E2e.capacity = 150.; cross = tiers }) in
+  List.iter
+    (fun (name, p) ->
+      let k = E2e.Kernel.make p in
+      let gmax = E2e.gamma_max p in
+      let gammas = Array.init 8 (fun i -> gmax *. (0.1 +. (0.1 *. float_of_int i))) in
+      let out = Array.make 8 0. in
+      E2e.Kernel.run_gammas k ~epsilon:1e-9 ~gammas ~out;
+      let rounds = 50 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        E2e.Kernel.run_gammas k ~epsilon:1e-9 ~gammas ~out
+      done;
+      let per_point = (Gc.minor_words () -. w0) /. float_of_int (rounds * 8) in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %.2f minor words per gamma point" name per_point)
+        true (per_point <= 10.))
+    [ ("mixed", mixed); ("20 several-class nodes", long) ]
 
 let test_smallest_k_matches_reference () =
   (* The O(H) backward-prefix-sum smallest_k against the O(H^2) recursive
@@ -581,11 +717,21 @@ let test_epsilon_validated () =
   let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 and cross = Ebb.v ~m:1. ~rho:35. ~alpha:0.8 in
   let homog = mk_path ~h:5 ~delta:(Delta.Fin 0.) in
   let hetero =
-    let bmux_at_2 i nd = if i = 2 then { nd with E2e.delta = Delta.Pos_inf } else nd in
-    { homog with E2e.nodes = Array.mapi bmux_at_2 homog.E2e.nodes }
+    let bmux_at_2 i (nd : E2e.node) =
+      if i = 2 then { nd with E2e.cross = [| { (nd.E2e.cross.(0)) with E2e.delta = Delta.Pos_inf } |] }
+      else nd
+    in
+    E2e.v ~nodes:(Array.mapi bmux_at_2 homog.E2e.nodes) ~through
   in
   let overloaded = E2e.homogeneous ~h:5 ~capacity:40. ~cross ~delta:(Delta.Fin 0.) ~through in
-  let mc = Multiclass.of_two_class homog in
+  let classes =
+    E2e.homogeneous_classes ~h:5 ~capacity:100. ~through
+      ~classes:
+        [
+          { E2e.rho = 20.; m = 1.; delta = Delta.Fin 2. };
+          { E2e.rho = 15.; m = 1.; delta = Delta.Fin (-5.) };
+        ]
+  in
   let entries =
     List.concat_map
       (fun (tag, p) ->
@@ -596,9 +742,13 @@ let test_epsilon_validated () =
           ( "E2e.delay_bound_cached " ^ tag,
             fun epsilon -> E2e.delay_bound_cached ~kernel:(E2e.Kernel.make p) ~epsilon p );
         ])
-      [ ("homogeneous", homog); ("heterogeneous", hetero); ("overloaded", overloaded) ]
+      [
+        ("homogeneous", homog);
+        ("heterogeneous", hetero);
+        ("overloaded", overloaded);
+        ("several classes", classes);
+      ]
     @ [
-        ("Multiclass.delay_bound", fun epsilon -> Multiclass.delay_bound ~gamma_points:4 ~epsilon mc);
         ( "Additive.delay_bound",
           fun epsilon -> Additive.delay_bound ~capacity:100. ~cross ~h:5 ~epsilon through );
         ( "Additive.delay_bound overloaded",
@@ -716,6 +866,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
     QCheck_alcotest.to_alcotest prop_k_procedure_vs_enumeration;
     QCheck_alcotest.to_alcotest prop_fast_path_heterogeneous_bitwise;
+    QCheck_alcotest.to_alcotest prop_classes_match_oracle;
+    Alcotest.test_case "kernel allocates a constant per gamma point" `Quick
+      test_kernel_allocation_constant;
     Alcotest.test_case "smallest_k O(H) = reference up to H=1000" `Quick
       test_smallest_k_matches_reference;
     Alcotest.test_case "epsilon validated at every gamma search" `Quick test_epsilon_validated;

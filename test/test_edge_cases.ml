@@ -115,6 +115,31 @@ let test_h1_consistency_all_deltas () =
   check_float "sp = fifo at one node" (d (Delta.Fin 0.)) (d Delta.Neg_inf);
   Alcotest.(check bool) "bmux larger" true (d Delta.Pos_inf > d (Delta.Fin 0.))
 
+(* Every path goes through [E2e.v]: each malformed one is refused at
+   construction, instead of the 0. / nan / inf / index errors the
+   analysis used to return for it downstream. *)
+let test_path_validation () =
+  let through = Envelope.Ebb.v ~m:1. ~rho:10. ~alpha:1. in
+  let node ?(capacity = 100.) ?(rho = 30.) ?(m = 1.) () =
+    { E2e.capacity; cross = [| { E2e.rho; m; delta = Delta.Fin 0. } |] }
+  in
+  List.iter
+    (fun (name, nodes) ->
+      match E2e.v ~nodes ~through with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("no nodes", [||]);
+      ("NaN capacity", [| node ~capacity:Float.nan () |]);
+      ("infinite capacity", [| node (); node ~capacity:Float.infinity () |]);
+      ("zero capacity", [| node ~capacity:0. () |]);
+      ("negative capacity", [| node ~capacity:(-5.) () |]);
+      ("negative class rate", [| node ~rho:(-1.) () |]);
+      ("NaN class rate", [| node ~rho:Float.nan () |]);
+      ("negative class prefactor", [| node ~m:(-1.) () |]);
+      ("NaN class prefactor", [| node ~m:Float.nan () |]);
+    ]
+
 (* ---------------- simulator failure injection ---------------- *)
 
 let test_tandem_censoring_reported () =
@@ -169,6 +194,7 @@ let suite =
     Alcotest.test_case "gamma boundary" `Quick test_gamma_at_boundary;
     Alcotest.test_case "critical load" `Quick test_exactly_critical_load_infinite;
     Alcotest.test_case "H=1 delta consistency" `Quick test_h1_consistency_all_deltas;
+    Alcotest.test_case "malformed paths rejected" `Quick test_path_validation;
     Alcotest.test_case "censoring reported" `Quick test_tandem_censoring_reported;
     Alcotest.test_case "overload saturates" `Quick test_tandem_overload_utilization_saturates;
     Alcotest.test_case "single slot horizon" `Quick test_single_slot_horizon;

@@ -1,6 +1,8 @@
-(* Tests for the multi-class-cross end-to-end analysis. *)
+(* Tests for the end-to-end analysis with several cross classes per node
+   (E2e's several-class node model), against the single-class paths and
+   the bisection-based oracle in test/oracle. *)
 
-module Mc = Deltanet.Multiclass
+module Mc = Oracle.Multiclass
 module E2e = Deltanet.E2e
 module Delta = Scheduler.Delta
 module Ebb = Envelope.Ebb
@@ -19,22 +21,31 @@ let two_class_path ~h ~delta =
   E2e.homogeneous ~h ~capacity:100. ~cross:(Ebb.v ~m:1. ~rho:35. ~alpha:0.8) ~delta
     ~through
 
-(* ------------- consistency with the single-class module ------------- *)
+let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The one-class [homogeneous_classes] path is the [homogeneous] path. *)
+let one_class ~h ~delta =
+  E2e.homogeneous_classes ~h ~capacity:100. ~through
+    ~classes:[ { E2e.rho = 35.; m = 1.; delta } ]
+
+(* ------------- consistency with the single-class paths ------------- *)
 
 let test_single_class_matches_e2e () =
   List.iter
     (fun (h, delta) ->
       let p2 = two_class_path ~h ~delta in
+      let pc = one_class ~h ~delta in
       let pm = Mc.of_two_class p2 in
       let gamma = 0.7 and sigma = 280. in
-      check_float ~tol:1e-6
-        (Fmt.str "sigma H=%d delta=%a" h Delta.pp delta)
-        (E2e.sigma_for p2 ~gamma ~epsilon:1e-9)
-        (Mc.sigma_for pm ~gamma ~epsilon:1e-9);
-      check_float ~tol:1e-6
-        (Fmt.str "delay H=%d delta=%a" h Delta.pp delta)
-        (E2e.delay_given p2 ~gamma ~sigma)
-        (Mc.delay_given pm ~gamma ~sigma))
+      let what = Fmt.str "H=%d delta=%a" h Delta.pp delta in
+      let s2 = E2e.sigma_for p2 ~gamma ~epsilon:1e-9 in
+      if not (bit_eq s2 (E2e.sigma_for pc ~gamma ~epsilon:1e-9)) then
+        Alcotest.failf "sigma %s: one-class path differs" what;
+      check_float ~tol:1e-6 ("sigma vs oracle " ^ what) s2 (Mc.sigma_for pm ~gamma ~epsilon:1e-9);
+      let d2 = E2e.delay_given p2 ~gamma ~sigma in
+      if not (bit_eq d2 (E2e.delay_given pc ~gamma ~sigma)) then
+        Alcotest.failf "delay %s: one-class path differs" what;
+      check_float ~tol:1e-6 ("delay vs oracle " ^ what) d2 (Mc.delay_given pm ~gamma ~sigma))
     [
       (1, Delta.Fin 0.);
       (4, Delta.Fin 0.);
@@ -48,30 +59,32 @@ let test_single_class_full_bound_matches () =
   List.iter
     (fun delta ->
       let p2 = two_class_path ~h:5 ~delta in
-      let pm = Mc.of_two_class p2 in
-      (* the two modules share the gamma grid but E2e adds a golden-section
+      let d2 = E2e.delay_bound ~epsilon:1e-9 p2 in
+      if not (bit_eq d2 (E2e.delay_bound ~epsilon:1e-9 (one_class ~h:5 ~delta))) then
+        Alcotest.failf "delta=%a: one-class path differs" Delta.pp delta;
+      (* the oracle shares the gamma grid but E2e adds a golden-section
          refinement, so allow the grid granularity *)
       check_float ~tol:1e-3
         (Fmt.str "delta=%a" Delta.pp delta)
-        (E2e.delay_bound ~epsilon:1e-9 p2)
-        (Mc.delay_bound ~epsilon:1e-9 pm))
+        d2
+        (Mc.delay_bound ~epsilon:1e-9 (Mc.of_two_class p2)))
     [ Delta.Fin 0.; Delta.Pos_inf; Delta.Fin (-10.) ]
 
 (* ------------- genuinely multi-class behaviour ------------- *)
 
+let classes ~h classes = E2e.homogeneous_classes ~h ~capacity:100. ~classes ~through
+
 let mk_two_cross ~delta_urgent ~delta_bulk =
-  Mc.v ~h:4 ~capacity:100.
-    ~cross:
-      [
-        { Mc.rho = 20.; m = 1.; delta = delta_urgent };
-        { Mc.rho = 15.; m = 1.; delta = delta_bulk };
-      ]
-    ~through
+  classes ~h:4
+    [
+      { E2e.rho = 20.; m = 1.; delta = delta_urgent };
+      { E2e.rho = 15.; m = 1.; delta = delta_bulk };
+    ]
 
 let test_split_classes_bracketed () =
   (* Splitting the cross aggregate into an urgent class (Pos_inf) and a
      bulk class (Neg_inf) must land between all-Neg_inf and all-Pos_inf. *)
-  let d du db = Mc.delay_bound ~epsilon:1e-9 (mk_two_cross ~delta_urgent:du ~delta_bulk:db) in
+  let d du db = E2e.delay_bound ~epsilon:1e-9 (mk_two_cross ~delta_urgent:du ~delta_bulk:db) in
   let all_low = d Delta.Neg_inf Delta.Neg_inf in
   let split = d Delta.Pos_inf Delta.Neg_inf in
   let all_high = d Delta.Pos_inf Delta.Pos_inf in
@@ -87,33 +100,27 @@ let test_uniform_split_conservative () =
      bound.  Aggregating before the analysis is therefore the right move —
      exactly why the paper carries one cross aggregate per node. *)
   let split =
-    Mc.v ~h:4 ~capacity:100.
-      ~cross:
-        [
-          { Mc.rho = 20.; m = 1.; delta = Delta.Fin 0. };
-          { Mc.rho = 15.; m = 1.; delta = Delta.Fin 0. };
-        ]
-      ~through
+    classes ~h:4
+      [
+        { E2e.rho = 20.; m = 1.; delta = Delta.Fin 0. };
+        { E2e.rho = 15.; m = 1.; delta = Delta.Fin 0. };
+      ]
   in
-  let merged =
-    Mc.v ~h:4 ~capacity:100.
-      ~cross:[ { Mc.rho = 35.; m = 1.; delta = Delta.Fin 0. } ]
-      ~through
-  in
+  let merged = classes ~h:4 [ { E2e.rho = 35.; m = 1.; delta = Delta.Fin 0. } ] in
   let gamma = 0.7 and sigma = 300. in
   Alcotest.(check bool) "split optimization is weakly worse" true
-    (Mc.delay_given split ~gamma ~sigma >= Mc.delay_given merged ~gamma ~sigma -. 1e-9);
+    (E2e.delay_given split ~gamma ~sigma >= E2e.delay_given merged ~gamma ~sigma -. 1e-9);
   Alcotest.(check bool) "split pays a larger union bound" true
-    (Mc.sigma_for split ~gamma ~epsilon:1e-9
-    >= Mc.sigma_for merged ~gamma ~epsilon:1e-9 -. 1e-9);
+    (E2e.sigma_for split ~gamma ~epsilon:1e-9
+    >= E2e.sigma_for merged ~gamma ~epsilon:1e-9 -. 1e-9);
   Alcotest.(check bool) "split full bound is weakly worse" true
-    (Mc.delay_bound ~epsilon:1e-9 split >= Mc.delay_bound ~epsilon:1e-9 merged -. 1e-6)
+    (E2e.delay_bound ~epsilon:1e-9 split >= E2e.delay_bound ~epsilon:1e-9 merged -. 1e-6)
 
 let test_deadline_ordering_multiclass () =
   (* Making the bulk class's deadline looser (more negative delta) can only
      help the through flow. *)
   let d db =
-    Mc.delay_bound ~epsilon:1e-9 (mk_two_cross ~delta_urgent:(Delta.Fin 2.) ~delta_bulk:db)
+    E2e.delay_bound ~epsilon:1e-9 (mk_two_cross ~delta_urgent:(Delta.Fin 2.) ~delta_bulk:db)
   in
   let loose = d (Delta.Fin (-50.)) in
   let mid = d (Delta.Fin (-5.)) in
@@ -125,25 +132,25 @@ let test_deadline_ordering_multiclass () =
 
 let test_three_deadline_classes_finite () =
   let p =
-    Mc.v ~h:5 ~capacity:100.
-      ~cross:
-        [
-          { Mc.rho = 10.; m = 1.; delta = Delta.Fin 5. };
-          { Mc.rho = 15.; m = 1.; delta = Delta.Fin 0. };
-          { Mc.rho = 10.; m = 1.; delta = Delta.Fin (-20.) };
-        ]
-      ~through
+    classes ~h:5
+      [
+        { E2e.rho = 10.; m = 1.; delta = Delta.Fin 5. };
+        { E2e.rho = 15.; m = 1.; delta = Delta.Fin 0. };
+        { E2e.rho = 10.; m = 1.; delta = Delta.Fin (-20.) };
+      ]
   in
-  let d = Mc.delay_bound ~epsilon:1e-9 p in
+  let d = E2e.delay_bound ~epsilon:1e-9 p in
   Alcotest.(check bool) (Fmt.str "finite %g" d) true (Float.is_finite d && d > 0.)
 
 let test_overload_infinite () =
   let p =
-    Mc.v ~h:3 ~capacity:100.
-      ~cross:[ { Mc.rho = 90.; m = 1.; delta = Delta.Fin 0. } ]
-      ~through
+    classes ~h:3
+      [
+        { E2e.rho = 50.; m = 1.; delta = Delta.Fin 0. };
+        { E2e.rho = 40.; m = 1.; delta = Delta.Fin (-5.) };
+      ]
   in
-  check_float "overload" Float.infinity (Mc.delay_bound ~epsilon:1e-9 p)
+  check_float "overload" Float.infinity (E2e.delay_bound ~epsilon:1e-9 p)
 
 let suite =
   [

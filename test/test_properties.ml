@@ -29,13 +29,55 @@ let gen_path =
   let cross = Ebb.v ~m:1. ~rho:rho_c ~alpha in
   return (E2e.homogeneous ~h ~capacity:100. ~cross ~delta ~through)
 
+(* The same with two to four classes per node (rates summing to at most
+   50), each class of any ∆ kind. *)
+let gen_classes_path =
+  let open QCheck.Gen in
+  let* h = int_range 1 8 in
+  let* rho = float_range 5. 30. in
+  let* alpha = float_range 0.2 2. in
+  let* k = int_range 2 4 in
+  let* classes =
+    list_repeat k
+      (let* rho = float_range 1. (50. /. float_of_int k) in
+       let* delta_kind = int_range 0 3 in
+       let* dval = float_range (-30.) 30. in
+       let delta =
+         match delta_kind with
+         | 0 -> Delta.Fin 0.
+         | 1 -> Delta.Pos_inf
+         | 2 -> Delta.Neg_inf
+         | _ -> Delta.Fin dval
+       in
+       return { E2e.rho; m = 1.; delta })
+  in
+  return (E2e.homogeneous_classes ~h ~capacity:100. ~classes ~through:(Ebb.v ~m:1. ~rho ~alpha))
+
 let print_path p =
   let nd = p.E2e.nodes.(0) in
-  Fmt.str "H=%d rho=%g rho_c=%g alpha=%g delta=%a" (E2e.hop_count p)
-    p.E2e.through.Ebb.rho nd.E2e.cross_rho p.E2e.through.Ebb.alpha Delta.pp
-    nd.E2e.delta
+  Fmt.str "H=%d rho=%g alpha=%g classes=[%s]" (E2e.hop_count p) p.E2e.through.Ebb.rho
+    p.E2e.through.Ebb.alpha
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (k : E2e.cross_class) -> Fmt.str "(rho=%g d=%a)" k.E2e.rho Delta.pp k.E2e.delta)
+             nd.E2e.cross)))
 
 let arb_path = QCheck.make ~print:print_path gen_path
+
+(* [arb_path] plus several-class paths, for the properties that hold on
+   every path (not only under the closed forms' one class per node). *)
+let arb_any_path =
+  QCheck.make ~print:print_path (QCheck.Gen.oneof [ gen_path; gen_classes_path ])
+
+(* A copy of [p] with every class's ∆ replaced. *)
+let with_delta p delta =
+  E2e.v ~through:p.E2e.through
+    ~nodes:
+      (Array.map
+         (fun (nd : E2e.node) ->
+           { nd with E2e.cross = Array.map (fun k -> { k with E2e.delta }) nd.E2e.cross })
+         p.E2e.nodes)
 
 let gamma_sigma p =
   let gmax = E2e.gamma_max p in
@@ -45,7 +87,7 @@ let gamma_sigma p =
 
 let prop_constraints_feasible =
   QCheck.Test.make ~name:"optimal thetas satisfy every Eq.-38 constraint" ~count:(Qc.count 300)
-    arb_path (fun p ->
+    arb_any_path (fun p ->
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
@@ -56,17 +98,19 @@ let prop_constraints_feasible =
                   let nd = p.E2e.nodes.(h) in
                   let c_h = nd.E2e.capacity -. (float_of_int h *. gamma) in
                   let cross =
-                    match Delta.clip_fin nd.E2e.delta theta with
-                    | None -> 0.
-                    | Some c ->
-                      (nd.E2e.cross_rho +. gamma) *. Float.max 0. (x +. c)
+                    Array.fold_left
+                      (fun acc (k : E2e.cross_class) ->
+                        match Delta.clip_fin k.E2e.delta theta with
+                        | None -> acc
+                        | Some c -> acc +. ((k.E2e.rho +. gamma) *. Float.max 0. (x +. c)))
+                      0. nd.E2e.cross
                   in
                   (c_h *. (x +. theta)) -. cross >= sigma -. 1e-6)
            |> List.for_all Fun.id)
 
 let prop_delay_curve_consistency =
   QCheck.Test.make ~name:"materialized curve reproduces the optimizer" ~count:(Qc.count 150)
-    arb_path (fun p ->
+    arb_any_path (fun p ->
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
@@ -102,12 +146,9 @@ let prop_monotone_in_delta =
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
-        let with_delta delta =
-          let nodes = Array.map (fun nd -> { nd with E2e.delta }) p.E2e.nodes in
-          E2e.delay_given { p with E2e.nodes } ~gamma ~sigma
-        in
         let ds =
-          List.map with_delta
+          List.map
+            (fun delta -> E2e.delay_given (with_delta p delta) ~gamma ~sigma)
             [ Delta.Neg_inf; Delta.Fin (-10.); Delta.Fin 0.; Delta.Fin 10.; Delta.Pos_inf ]
         in
         let rec nondecr = function
@@ -118,8 +159,7 @@ let prop_monotone_in_delta =
 
 let prop_bmux_closed_form =
   QCheck.Test.make ~name:"Eq. 43 on random BMUX paths" ~count:(Qc.count 200) arb_path (fun p ->
-      let nodes = Array.map (fun nd -> { nd with E2e.delta = Delta.Pos_inf }) p.E2e.nodes in
-      let p = { p with E2e.nodes } in
+      let p = with_delta p Delta.Pos_inf in
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
@@ -129,8 +169,7 @@ let prop_bmux_closed_form =
 
 let prop_fifo_closed_form =
   QCheck.Test.make ~name:"Eq. 44 on random FIFO paths" ~count:(Qc.count 200) arb_path (fun p ->
-      let nodes = Array.map (fun nd -> { nd with E2e.delta = Delta.Fin 0. }) p.E2e.nodes in
-      let p = { p with E2e.nodes } in
+      let p = with_delta p (Delta.Fin 0.) in
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
@@ -144,9 +183,9 @@ let prop_multiclass_matches_e2e =
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
-        let pm = Deltanet.Multiclass.of_two_class p in
+        let pm = Oracle.Multiclass.of_two_class p in
         let d2 = E2e.delay_given p ~gamma ~sigma in
-        let dm = Deltanet.Multiclass.delay_given pm ~gamma ~sigma in
+        let dm = Oracle.Multiclass.delay_given pm ~gamma ~sigma in
         (Float.equal d2 Float.infinity && Float.equal dm Float.infinity)
         || Float.abs (d2 -. dm) <= 1e-5 *. (1. +. Float.abs d2))
 
